@@ -80,14 +80,12 @@ let opt_arg =
     & opt (some opt_level_conv) None
     & info [ "O"; "opt-level" ] ~docv:"LEVEL"
         ~doc:
-          "Middle-end optimization level for the shared codegen IR \
-           (docs/optimizer.md): $(b,0) disables it, $(b,1) runs constant \
-           propagation, atom fusion and width narrowing, $(b,2) adds \
-           common-subexpression elimination, dead-component elimination and \
-           cost-driven scheduling.  Defaults to $(b,ASIM_OPT) when set, \
-           else 2.  Every engine consumes the optimized spec; observables \
-           (traces, I/O, memory images, statistics, faults, errors) are \
-           preserved at every level.")
+          "Middle-end optimization level (docs/optimizer.md): $(b,0) \
+           disables it, $(b,1) runs constant propagation and width \
+           narrowing, $(b,2) adds dead-component elimination.  Defaults to \
+           $(b,ASIM_OPT) when set, else 2.  Every engine consumes the \
+           optimized spec; observables (traces, I/O, memory images, \
+           statistics, faults, errors) are preserved at every level.")
 
 (* The env default is resolved per command so junk in ASIM_OPT only fails
    commands that consult it. *)

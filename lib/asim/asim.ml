@@ -58,7 +58,7 @@ let load_string source = Analysis.analyze (Parser.parse_string source)
 
 let load_file path = Analysis.analyze (Parser.parse_file path)
 
-let machine ?config ?(engine = Compiled) ?optimize ?opt ?opt_costs ?schedule
+let machine ?config ?(engine = Compiled) ?optimize ?opt ?schedule
     ?tracer ?prof ?domains ?par_costs analysis =
   (* The middle-end runs once, up front, on the analyzed spec — every engine
      below consumes the rewritten analysis unchanged.  Fault targets are kept
@@ -73,7 +73,7 @@ let machine ?config ?(engine = Compiled) ?optimize ?opt ?opt_costs ?schedule
           | Some { Machine.faults; _ } -> Fault.targets faults
           | None -> []
         in
-        Opt.run ~level ~keep ?costs:opt_costs analysis
+        Opt.run ~level ~keep analysis
   in
   match engine with
   | Interpreter -> Interp.create ?config ?prof analysis

@@ -69,7 +69,6 @@ val machine :
   ?engine:engine ->
   ?optimize:bool ->
   ?opt:Opt.level ->
-  ?opt_costs:(string * float) list ->
   ?schedule:Flat.schedule ->
   ?tracer:Asim_obs.Tracer.t ->
   ?prof:Prof.t ->
@@ -81,10 +80,9 @@ val machine :
     optimizations on, {!Machine.default_config}.  [opt] runs the {!Opt}
     middle-end over the analysis before the engine is built (default: no
     middle-end, i.e. [O0]) — every engine consumes the rewritten spec;
-    fault-plan targets from [config] are kept verbatim.  [opt_costs] feeds
-    the scheduler's cost model.  [optimize] applies to the [Compiled]
-    engine's own §4.4 closure optimizations only (the deprecated
-    [?peephole]-era knob); [schedule] and [tracer] to [FlatKernel] only;
+    fault-plan targets from [config] are kept verbatim.  [optimize]
+    applies to the [Compiled] engine's own §4.4 closure optimizations only;
+    [schedule] and [tracer] to [FlatKernel] only;
     [domains] and [par_costs] (a measured per-component cost model for the
     partitioner) to [Partitioned] only.  [prof] attaches an {!Prof} profile
     to any engine except [Native] (whose generated plugin carries no

@@ -24,7 +24,6 @@ type workload = {
   cycles : int;
   components : int;
   flat_words : int;
-  flat_words_raw : int;
   flat_skip_rate : float;
   agreement : string option;
   tiered_swap : string;
@@ -70,7 +69,6 @@ type opt_ablation = {
   oa_cycles : int;
   oa_cores_online : int;
   oa_dead_components : int;
-  oa_scheduled : bool;
   oa_steps : opt_step list;  (* first step is the -O0 baseline *)
   oa_flat_speedup_o2_vs_o0 : float;
   oa_native_o0_ns : float option;  (* None without a toolchain *)
@@ -313,7 +311,6 @@ let run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir ~name
   in
   let engines = base @ (tiered :: warm) in
   let flat_words = Asim_flat.Flat.program_size analysis in
-  let flat_words_raw = Asim_flat.Flat.program_size ~peephole:false analysis in
   let flat_skip_rate =
     let m, counts =
       Asim_flat.Flat.create_debug ~config:Asim.Machine.quiet_config analysis
@@ -333,7 +330,6 @@ let run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir ~name
     cycles;
     components = List.length spec.Asim.Spec.components;
     flat_words;
-    flat_words_raw;
     flat_skip_rate;
     agreement;
     tiered_swap;
@@ -564,7 +560,6 @@ let bench_opt_ablation ~reps ~jit_cache_dir ~name (spec : Asim.Spec.t) =
     oa_cycles = cycles;
     oa_cores_online = Domain.recommended_domain_count ();
     oa_dead_components = List.length full.Asim.Opt.dead;
-    oa_scheduled = full.Asim.Opt.stats.Asim.Opt.scheduled;
     oa_steps = steps;
     oa_flat_speedup_o2_vs_o0 = (if o2_ns > 0.0 then o0_ns /. o2_ns else 0.0);
     oa_native_o0_ns = native_o0;
@@ -684,8 +679,8 @@ let table t =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   List.iter
     (fun w ->
-      pr "workload %s: %d cycles, %d components, flat program %d words (%d before peephole)\n"
-        w.name w.cycles w.components w.flat_words w.flat_words_raw;
+      pr "workload %s: %d cycles, %d components, flat program %d words\n"
+        w.name w.cycles w.components w.flat_words;
       pr "  %-10s %12s %12s %12s %10s %10s\n" "engine" "build (s)" "wall (s)"
         "ns/cycle" "vs interp" "incl prep";
       List.iter
@@ -775,12 +770,11 @@ let table t =
     (fun o ->
       pr
         "opt ablation %s: %d components, %d cycles, %d core%s online, %d dead \
-         component%s at O2, scheduler %s\n"
+         component%s at O2\n"
         o.oa_workload o.oa_components o.oa_cycles o.oa_cores_online
         (if o.oa_cores_online = 1 then "" else "s")
         o.oa_dead_components
-        (if o.oa_dead_components = 1 then "" else "s")
-        (if o.oa_scheduled then "ran" else "gated off");
+        (if o.oa_dead_components = 1 then "" else "s");
       pr "  %-12s %12s %12s %14s\n" "step" "flat words" "words saved"
         "flat ns/cycle";
       List.iter
@@ -854,7 +848,6 @@ let workload_json w =
       ("cycles", Json.Int w.cycles);
       ("components", Json.Int w.components);
       ("flat_program_words", Json.Int w.flat_words);
-      ("flat_program_words_raw", Json.Int w.flat_words_raw);
       ("engines", Json.List (List.map (engine_json w) w.engines));
       r "interp_vs_compiled" "interp" "compiled";
       r "interp_vs_flat" "interp" "flat";
@@ -929,7 +922,6 @@ let opt_ablation_json (o : opt_ablation) =
       ("cycles", Json.Int o.oa_cycles);
       ("cores_online", Json.Int o.oa_cores_online);
       ("dead_components", Json.Int o.oa_dead_components);
-      ("scheduler_ran", Json.Bool o.oa_scheduled);
       ("steps", Json.List (List.map opt_step_json o.oa_steps));
       ("flat_speedup_o2_vs_o0", Json.Float o.oa_flat_speedup_o2_vs_o0);
       ( "native_o0_ns_per_cycle",

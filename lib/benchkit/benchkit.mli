@@ -57,7 +57,6 @@ type workload = {
   cycles : int;
   components : int;
   flat_words : int;  (** flat-program size in instruction words *)
-  flat_words_raw : int;  (** same, with the peephole pass disabled *)
   flat_skip_rate : float;
       (** fraction of combinational evaluations the activity scheduler
           skipped over the run, in [0, 1] *)
@@ -133,9 +132,6 @@ type opt_ablation = {
   oa_cycles : int;
   oa_cores_online : int;
   oa_dead_components : int;  (** components DCE stubbed at [-O2] *)
-  oa_scheduled : bool;
-      (** whether the cost-driven scheduler ran (it gates itself off when
-          any selector could raise at run time) *)
   oa_steps : opt_step list;  (** first step is the [-O0] baseline *)
   oa_flat_speedup_o2_vs_o0 : float;
   oa_native_o0_ns : float option;  (** [None] without a toolchain *)

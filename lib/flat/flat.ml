@@ -135,8 +135,8 @@ let fuse_terms terms =
 (* Emit a flattened expression; the block leaves its value in [acc].  Every
    referenced slot is appended to [refs] (the dependency edges the activity
    scheduler wires up). *)
-let emit_flat ?(peephole = true) e refs (const, terms) =
-  let terms = if peephole then fuse_terms terms else terms in
+let emit_flat e refs (const, terms) =
+  let terms = fuse_terms terms in
   emit e op_const;
   emit e const;
   List.iter
@@ -166,18 +166,17 @@ let emit_flat ?(peephole = true) e refs (const, terms) =
         emit e (-t_shift)))
     terms
 
-let emit_expr ?peephole e ids refs expr =
-  emit_flat ?peephole e refs (flatten ids expr)
+let emit_expr e ids refs expr = emit_flat e refs (flatten ids expr)
 
 (* --- component blocks --------------------------------------------------- *)
 
-let emit_alu ?peephole e ids refs ({ fn; left; right } : Component.alu) =
+let emit_alu e ids refs ({ fn; left; right } : Component.alu) =
   (* Both operands are flattened unconditionally so missing-name errors
      surface at compile time exactly as in [Asim_compile]; only the
      operands an ALU function actually consumes are emitted (and hence
      scheduled on). *)
   let fl = flatten ids left and fr = flatten ids right in
-  let use flat = emit_flat ?peephole e refs flat in
+  let use flat = emit_flat e refs flat in
   let binary op =
     use fl;
     emit e op_save;
@@ -221,23 +220,17 @@ let emit_alu ?peephole e ids refs ({ fn; left; right } : Component.alu) =
       emit e op_dyn;
       emit e op_ret
 
-let emit_selector ?(peephole = true) e ids refs comp_id
-    ({ select; cases } : Component.selector) =
-  let const_select =
-    match flatten ids select with
-    | c, [] when peephole -> Some c
-    | _ -> None
-  in
-  match const_select with
-  | Some c when c >= 0 && c < Array.length cases ->
+let emit_selector e ids refs comp_id ({ select; cases } : Component.selector) =
+  match flatten ids select with
+  | c, [] when c >= 0 && c < Array.length cases ->
       (* Peephole: the control input is a compile-time constant in range, so
          the dispatch (and every dead case block) folds away.  An
          out-of-range constant keeps the op_sel so the runtime range error
          still raises every cycle. *)
-      emit_expr ~peephole e ids refs cases.(c);
+      emit_expr e ids refs cases.(c);
       emit e op_ret
   | _ ->
-      emit_expr ~peephole e ids refs select;
+      emit_expr e ids refs select;
       emit e op_sel;
       emit e comp_id;
       let n = Array.length cases in
@@ -249,7 +242,7 @@ let emit_selector ?(peephole = true) e ids refs comp_id
       Array.iteri
         (fun i case ->
           e.buf.(slots + i) <- e.len;
-          emit_expr ~peephole e ids refs case;
+          emit_expr e ids refs case;
           emit e op_ret)
         cases
 
@@ -281,7 +274,7 @@ type program = {
   p_dep_len : int array;  (** by producer slot *)
 }
 
-let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
+let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
     (analysis : Asim_analysis.Analysis.t) =
   let spec = analysis.Asim_analysis.Analysis.spec in
   let components = spec.Spec.components in
@@ -327,8 +320,8 @@ let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
       comb_id.(pos) <- id;
       let refs = ref [] in
       (match c.kind with
-      | Component.Alu alu -> emit_alu ?peephole e ids refs alu
-      | Component.Selector sel -> emit_selector ?peephole e ids refs id sel
+      | Component.Alu alu -> emit_alu e ids refs alu
+      | Component.Selector sel -> emit_selector e ids refs id sel
       | Component.Memory _ -> assert false);
       List.sort_uniq compare !refs
       |> List.iter (fun src -> dependents.(src) <- pos :: dependents.(src)))
@@ -343,13 +336,13 @@ let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
            match c.kind with
            | Component.Memory m ->
                let addr_pc = e.len in
-               emit_expr ?peephole e ids sink m.addr;
+               emit_expr e ids sink m.addr;
                emit e op_ret;
                let op_pc = e.len in
-               emit_expr ?peephole e ids sink m.op;
+               emit_expr e ids sink m.op;
                emit e op_ret;
                let data_pc = e.len in
-               emit_expr ?peephole e ids sink m.data;
+               emit_expr e ids sink m.data;
                emit e op_ret;
                let d =
                  {
@@ -395,8 +388,7 @@ let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
     p_dep_len = dep_len;
   }
 
-let program_size ?peephole analysis =
-  Array.length (compile ?peephole analysis).p_code
+let program_size analysis = Array.length (compile analysis).p_code
 
 (* --- the evaluator ------------------------------------------------------ *)
 
@@ -461,7 +453,7 @@ let make_exec (p : program) ~(vals : int array) ~(cycle : int ref) =
 type state = { s_vals : int array; s_cells : int array }
 
 let create_full ?(config = Machine.default_config) ?(schedule = Activity)
-    ?(tracer = Asim_obs.Tracer.null) ?peephole ?prof
+    ?(tracer = Asim_obs.Tracer.null) ?prof
     (analysis : Asim_analysis.Analysis.t) =
   let module Prof = Asim_prof.Prof in
   let module T = Asim_obs.Tracer in
@@ -469,7 +461,7 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
     T.span tracer
       ~args:[ ("schedule", schedule_to_string schedule) ]
       "codegen.flat.emit"
-      (fun () -> compile ?peephole ~tracer analysis)
+      (fun () -> compile ~tracer analysis)
   in
   let code = p.p_code in
   let names = p.p_names in
@@ -890,20 +882,20 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
   in
   (machine, counts, { s_vals = vals; s_cells = cells })
 
-let create_debug ?config ?schedule ?tracer ?peephole ?prof analysis =
+let create_debug ?config ?schedule ?tracer ?prof analysis =
   let machine, counts, _ =
-    create_full ?config ?schedule ?tracer ?peephole ?prof analysis
+    create_full ?config ?schedule ?tracer ?prof analysis
   in
   (machine, counts)
 
-let create_exposed ?config ?schedule ?tracer ?peephole ?prof analysis =
+let create_exposed ?config ?schedule ?tracer ?prof analysis =
   let machine, _, state =
-    create_full ?config ?schedule ?tracer ?peephole ?prof analysis
+    create_full ?config ?schedule ?tracer ?prof analysis
   in
   (machine, state)
 
-let create ?config ?schedule ?tracer ?peephole ?prof analysis =
+let create ?config ?schedule ?tracer ?prof analysis =
   let machine, _, _ =
-    create_full ?config ?schedule ?tracer ?peephole ?prof analysis
+    create_full ?config ?schedule ?tracer ?prof analysis
   in
   machine

@@ -101,8 +101,7 @@ let require_include_dir () =
 
 (* Bump when the generated code's shape changes so stale artifacts from an
    older generator are never Dynlinked.  2: the cache key covers the
-   evaluation order (the optimizer's scheduler reorders components without
-   changing the pretty-printed spec text). *)
+   evaluation order (see [spec_md5]). *)
 let generator_version = 2
 
 let default_cache_dir () =
@@ -126,9 +125,11 @@ let rec ensure_dir path =
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* The generated module bakes in the evaluation order, and the optimizer's
-   scheduler can permute it without altering the spec text — so the order is
-   part of the key. *)
+(* The generated module bakes in the evaluation order, and one spec text can
+   arrive with more than one order: the optimizer carries the order over from
+   the raw analysis rather than re-deriving it from the rewritten text, and
+   the planted ASIM_OPT_SKEW miscompile reverses it — so the order is part of
+   the key. *)
 let spec_md5 (analysis : Analysis.t) =
   let order_names =
     List.map (fun (c : Component.t) -> c.name) analysis.Analysis.order

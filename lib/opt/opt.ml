@@ -26,22 +26,19 @@ let env_level () =
       | None ->
           Error.failf Error.Analysis "%s must be 0, 1 or 2 (got %S)" env_var s)
 
-type pass = Constprop | Fuse | Narrow | Cse | Dce | Schedule
+type pass = Constprop | Narrow | Dce
 
-let all_passes = [ Constprop; Fuse; Narrow; Cse; Dce; Schedule ]
+let all_passes = [ Constprop; Narrow; Dce ]
 
 let passes_of_level = function
   | O0 -> []
-  | O1 -> [ Constprop; Fuse; Narrow ]
+  | O1 -> [ Constprop; Narrow ]
   | O2 -> all_passes
 
 let pass_to_string = function
   | Constprop -> "constprop"
-  | Fuse -> "fuse"
   | Narrow -> "narrow"
-  | Cse -> "cse"
   | Dce -> "dce"
-  | Schedule -> "schedule"
 
 type stats = {
   folded : int;
@@ -49,133 +46,81 @@ type stats = {
   stubbed : int;
   fused : int;
   narrowed : int;
-  scheduled : bool;
 }
 
 type result = { analysis : Analysis.t; dead : string list; stats : stats }
 
 (* ------------------------------------------------------------------ *)
-(* The dataflow IR: one hash-consed node per distinct computation.  Node
-   construction mirrors [Expr.eval]'s placement arithmetic exactly — sums
-   are unmasked, shifts are plain [lsl], extracts are two's-complement —
-   so a [Cst] node is the precise value every engine would compute. *)
+(* Constant propagation evaluates each combinational component over a
+   three-point abstract value.  The transfer functions mirror
+   [Expr.eval]'s placement arithmetic exactly — sums are unmasked, shifts
+   are plain [lsl], extracts are two's-complement — so a [Known] value is
+   the precise value every engine would compute. *)
 
-type node = { id : int; shape : shape }
+type value =
+  | Known of int
+  | Field of int
+      (* an extracted bit field of this width, shifted down to bit 0: an
+         extract starting at or above the width reads constant zero *)
+  | Unknown
 
-and shape =
-  | Cst of int
-  | Slot of string
-      (* a value opaque to the optimizer: memory output, traced or kept
-         component, or any not-yet-defined name *)
-  | Ext of node * int * int  (* bits lo..hi, shifted down to bit 0 *)
-  | Shl of node * int  (* k >= 1, plain [lsl] *)
-  | Sum of node list  (* flattened; at most one constant, kept last *)
-  | Fn of node * node * node  (* ALU: function, left, right *)
-  | Sel of node * node array
+let ext x lo hi =
+  match x with
+  | Known v -> Known ((v land Bits.field_mask ~lo ~hi) lsr lo)
+  | Field w -> if lo >= w then Known 0 else Field (min hi (w - 1) - lo + 1)
+  | Unknown -> Field (hi - lo + 1)
 
-type key =
-  | KCst of int
-  | KSlot of string
-  | KExt of int * int * int
-  | KShl of int * int
-  | KSum of int list
-  | KFn of int * int * int
-  | KSel of int * int list
-
-type builder = { tbl : (key, node) Hashtbl.t; mutable next : int }
-
-let new_builder () = { tbl = Hashtbl.create 1024; next = 0 }
-
-let mk b shape key =
-  match Hashtbl.find_opt b.tbl key with
-  | Some n -> n
-  | None ->
-      let n = { id = b.next; shape } in
-      b.next <- b.next + 1;
-      Hashtbl.add b.tbl key n;
-      n
-
-let cst b v = mk b (Cst v) (KCst v)
-
-let slot b name = mk b (Slot name) (KSlot name)
-
-let rec ext b x lo hi =
-  match x.shape with
-  | Cst v -> cst b ((v land Bits.field_mask ~lo ~hi) lsr lo)
-  | Ext (y, lo2, hi2) ->
-      (* bits lo..hi of (bits lo2..hi2 of y): bit i of the inner value is
-         bit lo2+i of y for i <= hi2-lo2, and 0 above. *)
-      if lo2 + lo > hi2 then cst b 0
-      else ext b y (lo2 + lo) (min (lo2 + hi) hi2)
-  | _ -> mk b (Ext (x, lo, hi)) (KExt (x.id, lo, hi))
-
-let rec shl b x k =
+let shl x k =
   if k <= 0 then x
-  else
-    match x.shape with
-    | Cst v -> cst b (v lsl k)
-    | Shl (y, j) -> shl b y (j + k)
-    | _ -> mk b (Shl (x, k)) (KShl (x.id, k))
+  else match x with Known v -> Known (v lsl k) | Field _ | Unknown -> Unknown
 
-let sum b nodes =
-  let parts =
-    List.concat_map
-      (fun n -> match n.shape with Sum xs -> xs | _ -> [ n ])
-      nodes
-  in
-  let is_cst n = match n.shape with Cst _ -> true | _ -> false in
-  let consts, rest = List.partition is_cst parts in
-  let c =
+(* A sum of known parts is known; a single unknown part plus zero is that
+   part. *)
+let sum values =
+  let c, rest =
     List.fold_left
-      (fun acc n -> match n.shape with Cst v -> acc + v | _ -> acc)
-      0 consts
+      (fun (c, rest) -> function
+        | Known v -> (c + v, rest)
+        | x -> (c, x :: rest))
+      (0, []) values
   in
-  let rest = List.sort (fun a a' -> compare a.id a'.id) rest in
-  let parts = if c = 0 then rest else rest @ [ cst b c ] in
-  match parts with
-  | [] -> cst b 0
-  | [ n ] -> n
-  | ns -> mk b (Sum ns) (KSum (List.map (fun n -> n.id) ns))
+  match rest with [] -> Known c | [ x ] when c = 0 -> x | _ -> Unknown
 
 (* ALU folding.  [apply_alu] is total, so folding never hides an error; the
    identities below hold for raw (unmasked, possibly negative) operands.
    There is deliberately no shift-by-zero identity: function 6 masks its
    left operand even for a zero count. *)
-let alu b f l r =
-  let symbolic () = mk b (Fn (f, l, r)) (KFn (f.id, l.id, r.id)) in
-  match f.shape with
-  | Cst code -> (
+let alu f l r =
+  match f with
+  | Known code -> (
       let fn = Component.alu_function_of_code code in
-      match (fn, l.shape, r.shape) with
-      | (Component.Fn_zero | Component.Fn_unused), _, _ -> cst b 0
+      match (fn, l, r) with
+      | (Component.Fn_zero | Component.Fn_unused), _, _ -> Known 0
       | Component.Fn_right, _, _ -> r
       | Component.Fn_left, _, _ -> l
-      | Component.Fn_not, Cst lv, _ -> cst b (Bits.mask - lv)
-      | _, Cst lv, Cst rv -> cst b (Component.apply_alu fn ~left:lv ~right:rv)
-      | Component.Fn_add, Cst 0, _ -> r
-      | Component.Fn_add, _, Cst 0 -> l
-      | Component.Fn_sub, _, Cst 0 -> l
-      | Component.Fn_or, Cst 0, _ -> r
-      | Component.Fn_or, _, Cst 0 -> l
-      | Component.Fn_xor, Cst 0, _ -> r
-      | Component.Fn_xor, _, Cst 0 -> l
-      | Component.Fn_and, Cst 0, _ | Component.Fn_and, _, Cst 0 -> cst b 0
-      | Component.Fn_mul, Cst 0, _ | Component.Fn_mul, _, Cst 0 -> cst b 0
-      | Component.Fn_mul, Cst 1, _ -> r
-      | Component.Fn_mul, _, Cst 1 -> l
-      | _ -> symbolic ())
-  | _ -> symbolic ()
+      | Component.Fn_not, Known lv, _ -> Known (Bits.mask - lv)
+      | _, Known lv, Known rv -> Known (Component.apply_alu fn ~left:lv ~right:rv)
+      | Component.Fn_add, Known 0, _ -> r
+      | Component.Fn_add, _, Known 0 -> l
+      | Component.Fn_sub, _, Known 0 -> l
+      | Component.Fn_or, Known 0, _ -> r
+      | Component.Fn_or, _, Known 0 -> l
+      | Component.Fn_xor, Known 0, _ -> r
+      | Component.Fn_xor, _, Known 0 -> l
+      | Component.Fn_and, Known 0, _ | Component.Fn_and, _, Known 0 -> Known 0
+      | Component.Fn_mul, Known 0, _ | Component.Fn_mul, _, Known 0 -> Known 0
+      | Component.Fn_mul, Known 1, _ -> r
+      | Component.Fn_mul, _, Known 1 -> l
+      | _ -> Unknown)
+  | _ -> Unknown
 
 (* A constant in-range select folds to its case — such a selector can never
    raise.  Anything else (including a constant *out-of-range* select) stays
-   symbolic so the runtime error is preserved. *)
-let sel b s cases =
-  match s.shape with
-  | Cst v when v >= 0 && v < Array.length cases -> cases.(v)
-  | _ ->
-      mk b
-        (Sel (s, cases))
-        (KSel (s.id, Array.to_list (Array.map (fun n -> n.id) cases)))
+   unknown so the runtime error is preserved. *)
+let sel s cases =
+  match s with
+  | Known v when v >= 0 && v < Array.length cases -> cases.(v)
+  | _ -> Unknown
 
 let bitstring_value s =
   String.fold_left (fun acc c -> (acc * 2) + if c = '1' then 1 else 0) 0 s
@@ -187,25 +132,25 @@ let field_bounds = function
       Some (f, f)
   | Expr.Range (f, t) -> Some (Number.value f, Number.value t)
 
-(* Expression -> node, tracking the running bit position exactly as
+(* Expression -> value, tracking the running bit position exactly as
    [Expr.atom_contribution] does (filling atoms jump it to the word). *)
-let node_of_expr b ~use atoms =
+let value_of_expr ~use atoms =
   let contribution numbits = function
     | Expr.Const { number; width = None } ->
-        (cst b (Number.value number lsl numbits), Bits.word_bits)
+        (Known (Number.value number lsl numbits), Bits.word_bits)
     | Expr.Const { number; width = Some w } ->
         let w = Number.value w in
-        (cst b ((Number.value number land Bits.ones w) lsl numbits), numbits + w)
+        (Known ((Number.value number land Bits.ones w) lsl numbits), numbits + w)
     | Expr.Bitstring s ->
-        (cst b (bitstring_value s lsl numbits), numbits + String.length s)
+        (Known (bitstring_value s lsl numbits), numbits + String.length s)
     | Expr.Ref { name; field } -> (
         match field_bounds field with
-        | None -> (shl b (use name) numbits, Bits.word_bits)
+        | None -> (shl (use name) numbits, Bits.word_bits)
         | Some (lo, hi) ->
-            (shl b (ext b (use name) lo hi) numbits, numbits + (hi - lo + 1)))
+            (shl (ext (use name) lo hi) numbits, numbits + (hi - lo + 1)))
   in
   let rec go acc numbits = function
-    | [] -> sum b acc
+    | [] -> sum acc
     | atom :: rest ->
         let v, numbits = contribution numbits atom in
         go (v :: acc) numbits rest
@@ -223,28 +168,26 @@ let node_of_expr b ~use atoms =
 let input_names (c : Component.t) =
   List.concat_map Expr.names (Component.inputs c)
 
+(* One worklist pass over reverse (producer -> reader) edges, the same
+   queue discipline as DCE's liveness below. *)
 let taint_closure (components : Component.t list) keep =
   let tainted = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace tainted n ()) keep;
   if keep <> [] then begin
-    let deps =
-      List.map
-        (fun (c : Component.t) -> (c.Component.name, input_names c))
-        components
+    let readers = Hashtbl.create 64 in
+    List.iter
+      (fun (c : Component.t) ->
+        List.iter (fun n -> Hashtbl.add readers n c.Component.name) (input_names c))
+      components;
+    let queue = Queue.create () in
+    let mark n =
+      if not (Hashtbl.mem tainted n) then begin
+        Hashtbl.replace tainted n ();
+        Queue.add n queue
+      end
     in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (name, ins) ->
-          if
-            (not (Hashtbl.mem tainted name))
-            && List.exists (Hashtbl.mem tainted) ins
-          then begin
-            Hashtbl.replace tainted name ();
-            changed := true
-          end)
-        deps
+    List.iter mark keep;
+    while not (Queue.is_empty queue) do
+      List.iter mark (Hashtbl.find_all readers (Queue.pop queue))
     done
   end;
   tainted
@@ -326,8 +269,8 @@ let never_errors ~bw (c : Component.t) =
   | Component.Memory _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Materialization: constant and forwarding wires are plain ALUs (function
-   1 passes the right operand through, function 0 is constant zero). *)
+(* Materialization: constant wires are plain ALUs (function 1 passes the
+   right operand through, function 0 is constant zero). *)
 
 let const_atom v =
   if v >= 0 && v <= Bits.mask then Expr.num_w v ~width:(Bits.width_needed v)
@@ -340,18 +283,15 @@ let stub_kind =
   Component.Alu
     { fn = [ Expr.num 0 ]; left = [ Expr.num 0 ]; right = [ Expr.num 0 ] }
 
-type decision = Keep | FoldedConst of int | WiredTo of string
-
 (* ------------------------------------------------------------------ *)
 
-let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
-    (analysis : Analysis.t) =
+let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
   let passes =
     match passes with Some ps -> ps | None -> passes_of_level level
   in
   let has p = List.mem p passes in
   let skew =
-    has Cse
+    has Dce
     &&
     match Sys.getenv_opt skew_env_var with
     | None | Some "" | Some "0" -> false
@@ -361,20 +301,11 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
     {
       analysis;
       dead = [];
-      stats =
-        {
-          folded = 0;
-          rewired = 0;
-          stubbed = 0;
-          fused = 0;
-          narrowed = 0;
-          scheduled = false;
-        };
+      stats = { folded = 0; rewired = 0; stubbed = 0; fused = 0; narrowed = 0 };
     }
   else begin
     let spec = analysis.Analysis.spec in
     let folded = ref 0
-    and rewired = ref 0
     and stubbed = ref 0
     and fused = ref 0
     and narrowed = ref 0 in
@@ -389,71 +320,48 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
       analysis.Analysis.memories;
     let is_opaque n = Hashtbl.mem opaque n in
     let tainted = taint_closure spec.Spec.components keep in
-    (* --- constant propagation + CSE over the node DAG ---------------- *)
-    let decisions : (string, decision) Hashtbl.t = Hashtbl.create 64 in
-    let decision name =
-      match Hashtbl.find_opt decisions name with Some d -> d | None -> Keep
-    in
-    if has Constprop || has Cse then begin
-      let b = new_builder () in
-      let defs : (string, node) Hashtbl.t = Hashtbl.create 64 in
+    (* --- constant propagation in evaluation order --------------------- *)
+    let consts : (string, int) Hashtbl.t = Hashtbl.create 64 in
+    if has Constprop then begin
+      let values : (string, value) Hashtbl.t = Hashtbl.create 64 in
       let use name =
-        if is_opaque name then slot b name
-        else
-          match Hashtbl.find_opt defs name with
-          | Some n -> n
-          | None -> slot b name
+        if is_opaque name then Unknown
+        else Option.value (Hashtbl.find_opt values name) ~default:Unknown
       in
-      let reps : (int, string) Hashtbl.t = Hashtbl.create 64 in
       List.iter
         (fun (c : Component.t) ->
           if not (is_opaque c.Component.name) then begin
-            let node =
+            let v =
               match c.Component.kind with
               | Component.Alu { fn; left; right } ->
-                  alu b (node_of_expr b ~use fn) (node_of_expr b ~use left)
-                    (node_of_expr b ~use right)
+                  alu (value_of_expr ~use fn) (value_of_expr ~use left)
+                    (value_of_expr ~use right)
               | Component.Selector { select; cases } ->
-                  sel b
-                    (node_of_expr b ~use select)
-                    (Array.map (node_of_expr b ~use) cases)
+                  sel (value_of_expr ~use select)
+                    (Array.map (value_of_expr ~use) cases)
               | Component.Memory _ -> assert false
             in
-            Hashtbl.replace defs c.Component.name node;
-            match node.shape with
-            | Cst v when has Constprop && v >= 0 ->
-                (* A constant node implies the component can never raise
+            Hashtbl.replace values c.Component.name v;
+            match v with
+            | Known k when k >= 0 ->
+                (* A known value implies the component can never raise
                    (selectors only fold through in-range selects), so a
                    constant wire is observably identical.  Negative
                    constants are left alone: they cannot be written back as
                    source literals. *)
-                Hashtbl.replace decisions c.Component.name (FoldedConst v);
+                Hashtbl.replace consts c.Component.name k;
                 incr folded
-            | _ ->
-                if has Cse then (
-                  match Hashtbl.find_opt reps node.id with
-                  | Some rep ->
-                      (* [rep] evaluates earlier in the same phase, and
-                         every slot either reads is frozen between the two
-                         evaluations (combinational slots are written once,
-                         memory slots only in the later phase), so
-                         forwarding is value- and error-exact. *)
-                      Hashtbl.replace decisions c.Component.name (WiredTo rep);
-                      incr rewired
-                  | None -> Hashtbl.replace reps node.id c.Component.name)
+            | _ -> ()
           end)
         analysis.Analysis.order
     end;
-    (* Substitution through the decisions: reads of a folded component
-       become literal constants, reads of a forwarded component follow the
-       wire to its (always-Keep, earlier) representative. *)
+    (* Reads of a folded component become literal constants. *)
     let rewrite_atom atom =
       match atom with
       | Expr.Ref { name; field } -> (
-          match decision name with
-          | Keep -> atom
-          | WiredTo rep -> Expr.Ref { name = rep; field }
-          | FoldedConst v -> (
+          match Hashtbl.find_opt consts name with
+          | None -> atom
+          | Some v -> (
               match field_bounds field with
               | None -> const_atom v
               | Some (lo, hi) ->
@@ -463,82 +371,6 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
       | _ -> atom
     in
     let rewrite_expr e = List.map rewrite_atom e in
-    (* --- fuse: merge adjacent constants and contiguous fields --------- *)
-    (* Cells carry the canonical mergeable form plus the original atom when
-       exactly one atom produced the cell (emitted unchanged: zero churn).
-       [CConst (v, None)] is a filling constant — only ever leftmost, and
-       only mergeable as the upper half of a merge, so it stays filling. *)
-    let fuse_expr e =
-      if not (has Fuse) then e
-      else begin
-        let canon = function
-          | Expr.Const { number; width = None } ->
-              let v = Number.value number in
-              if v >= 0 then Some (v, None) else None
-          | Expr.Const { number; width = Some w } ->
-              let w = Number.value w in
-              Some (Number.value number land Bits.ones w, Some w)
-          | Expr.Bitstring s -> Some (bitstring_value s, Some (String.length s))
-          | Expr.Ref _ -> None
-        in
-        let emit (orig, cell) acc =
-          match orig with
-          | Some atom -> atom :: acc
-          | None -> (
-              match cell with
-              | `Const (v, Some w) -> Expr.num_w v ~width:w :: acc
-              | `Const (v, None) -> Expr.num v :: acc
-              | `Range (name, lo, hi) -> Expr.ref_range name lo hi :: acc)
-        in
-        (* Walk low-to-high (reversed atom list); each new atom sits
-           immediately above the pending cell. *)
-        let rec go pending acc = function
-          | [] -> ( match pending with None -> acc | Some p -> emit p acc)
-          | atom :: rest -> (
-              let merged =
-                match pending with
-                | Some (_, `Const (v0, Some w0)) -> (
-                    match canon atom with
-                    | Some (v, w) ->
-                        Some (`Const ((v lsl w0) + v0, Option.map (( + ) w0) w))
-                    | None -> None)
-                | Some (_, `Range (n0, lo0, hi0)) -> (
-                    match atom with
-                    | Expr.Ref { name; field } when name = n0 -> (
-                        match field_bounds field with
-                        | Some (lo, hi) when lo = hi0 + 1 ->
-                            Some (`Range (n0, lo0, hi))
-                        | _ -> None)
-                    | _ -> None)
-                | _ -> None
-              in
-              match merged with
-              | Some cell ->
-                  incr fused;
-                  go (Some (None, cell)) acc rest
-              | None ->
-                  let acc =
-                    match pending with None -> acc | Some p -> emit p acc
-                  in
-                  let cell =
-                    match canon atom with
-                    | Some (v, w) -> Some (Some atom, `Const (v, w))
-                    | None -> (
-                        match atom with
-                        | Expr.Ref { name; field } -> (
-                            match field_bounds field with
-                            | Some (lo, hi) ->
-                                Some (Some atom, `Range (name, lo, hi))
-                            | None -> None)
-                        | _ -> None)
-                  in
-                  (match cell with
-                  | Some p -> go (Some p) acc rest
-                  | None -> go None (atom :: acc) rest))
-        in
-        go None [] (List.rev e)
-      end
-    in
     (* --- constprop extras on kept components -------------------------- *)
     let drop_unused_operand fn_value (alu : Component.alu) =
       if not (has Constprop) then alu
@@ -584,32 +416,34 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
               Component.kind =
                 Component.Memory
                   {
-                    addr = fuse_expr (rewrite_expr addr);
-                    data = fuse_expr (rewrite_expr data);
-                    op = fuse_expr (rewrite_expr op);
+                    addr = rewrite_expr addr;
+                    data = rewrite_expr data;
+                    op = rewrite_expr op;
                     cells;
                     init;
                   };
             }
         | _ -> c
       else
-        match decision c.Component.name with
-        | FoldedConst v -> { c with Component.kind = wire_kind [ const_atom v ] }
-        | WiredTo rep -> { c with Component.kind = wire_kind [ Expr.ref_ rep ] }
-        | Keep -> (
+        match Hashtbl.find_opt consts c.Component.name with
+        | Some v -> { c with Component.kind = wire_kind [ const_atom v ] }
+        | None -> (
             match c.Component.kind with
             | Component.Alu { fn; left; right } -> (
-                let fn = fuse_expr (rewrite_expr fn) in
-                let left = fuse_expr (rewrite_expr left) in
-                let right = fuse_expr (rewrite_expr right) in
-                let a = { Component.fn; left; right } in
-                match Expr.const_value fn with
+                let a =
+                  {
+                    Component.fn = rewrite_expr fn;
+                    left = rewrite_expr left;
+                    right = rewrite_expr right;
+                  }
+                in
+                match Expr.const_value a.Component.fn with
                 | Some code ->
                     { c with Component.kind = Component.Alu (drop_unused_operand code a) }
                 | None -> { c with Component.kind = Component.Alu a })
             | Component.Selector { select; cases } -> (
-                let select = fuse_expr (rewrite_expr select) in
-                let cases = Array.map (fun e -> fuse_expr (rewrite_expr e)) cases in
+                let select = rewrite_expr select in
+                let cases = Array.map rewrite_expr cases in
                 match Expr.const_value select with
                 | Some s when has Constprop && s >= 0 && s < Array.length cases ->
                     (* Constant in-range select: the selector can never
@@ -678,10 +512,7 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
                 let head =
                   rewrite_at ~leftmost:true ~rest:(rest' <> []) leftmost
                 in
-                let e' =
-                  match head with Some a -> a :: rest' | None -> rest'
-                in
-                if e' == e then e else fuse_expr e'
+                match head with Some a -> a :: rest' | None -> rest'
           in
           let narrow_component (c : Component.t) =
             match c.Component.kind with
@@ -740,10 +571,10 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
       end
     in
     (* --- dce: stub components no observable path can reach ------------ *)
-    let bw_final = make_bounded_width (current_spec components) tainted in
     let components, dead =
       if not (has Dce) then (components, [])
       else begin
+        let bw_final = make_bounded_width (current_spec components) tainted in
         let by_name = Hashtbl.create 64 in
         List.iter
           (fun (c : Component.t) -> Hashtbl.replace by_name c.Component.name c)
@@ -795,70 +626,13 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
     List.iter
       (fun (c : Component.t) -> Hashtbl.replace by_name c.Component.name c)
       components;
-    let find n = Hashtbl.find by_name n in
-    let base_order =
-      List.map (fun (c : Component.t) -> find c.Component.name) analysis.Analysis.order
-    in
-    (* --- schedule: cost-driven level-major reordering ----------------- *)
-    let comb_names = Hashtbl.create 64 in
-    List.iter
-      (fun (c : Component.t) -> Hashtbl.replace comb_names c.Component.name ())
-      base_order;
-    let order, scheduled =
-      if not (has Schedule) then (base_order, false)
-      else if
-        (* Reordering is only observation-safe when no combinational
-           component can raise: otherwise which partial state an error
-           leaves behind depends on the order. *)
-        not (List.for_all (never_errors ~bw:bw_final) base_order)
-      then (base_order, false)
-      else begin
-        let cost_tbl = Hashtbl.create 16 in
-        List.iter (fun (n, c) -> Hashtbl.replace cost_tbl n c) costs;
-        let cost (c : Component.t) =
-          match Hashtbl.find_opt cost_tbl c.Component.name with
-          | Some f -> f
-          | None ->
-              float_of_int
-                (List.fold_left
-                   (fun acc e -> acc + List.length e)
-                   0
-                   (Component.inputs c))
-        in
-        (* [base_order] is topological, so one forward pass computes the
-           dependency depth of every component. *)
-        let depth = Hashtbl.create 64 in
-        List.iter
-          (fun (c : Component.t) ->
-            let d =
-              List.fold_left
-                (fun acc n ->
-                  match Hashtbl.find_opt depth n with
-                  | Some d when Hashtbl.mem comb_names n -> max acc (d + 1)
-                  | _ -> acc)
-                0 (input_names c)
-            in
-            Hashtbl.replace depth c.Component.name d)
-          base_order;
-        let indexed =
-          List.mapi
-            (fun i (c : Component.t) ->
-              (Hashtbl.find depth c.Component.name, -.cost c, i, c))
-            base_order
-        in
-        let sorted =
-          List.sort
-            (fun (d1, c1, i1, _) (d2, c2, i2, _) ->
-              compare (d1, c1, i1) (d2, c2, i2))
-            indexed
-        in
-        (List.map (fun (_, _, _, c) -> c) sorted, true)
-      end
+    let order =
+      List.map
+        (fun (c : Component.t) -> Hashtbl.find by_name c.Component.name)
+        analysis.Analysis.order
     in
     (* --- planted miscompile: stale reads across the order boundary ---- *)
-    let order =
-      if skew && List.length order >= 2 then List.rev order else order
-    in
+    let order = if skew && List.length order >= 2 then List.rev order else order in
     let memories =
       List.filter (fun (c : Component.t) -> Component.is_memory c) components
     in
@@ -876,14 +650,13 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
       stats =
         {
           folded = !folded;
-          rewired = !rewired;
+          rewired = 0;
           stubbed = !stubbed;
           fused = !fused;
           narrowed = !narrowed;
-          scheduled;
         };
     }
   end
 
-let run ?level ?passes ?keep ?costs analysis =
-  (run_result ?level ?passes ?keep ?costs analysis).analysis
+let run ?level ?passes ?keep analysis =
+  (run_result ?level ?passes ?keep analysis).analysis

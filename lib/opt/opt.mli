@@ -7,15 +7,16 @@
     byte-for-byte; only the values of components proved unobservable (see
     {!result.dead}) may change.
 
-    Internally each combinational component is translated into a hash-consed
-    dataflow node (an enriched form of [Lower.term]: constants, state slots,
-    bit extracts, shifts, sums, ALU applications, selections) mirroring
-    {!Asim_core.Expr.eval}'s placement arithmetic exactly — including
-    unmasked totals and negative intermediates.  Structural sharing over
-    that DAG drives constant propagation and common-subexpression
-    elimination; the rewrites are materialized back into ordinary spec
-    components (constant wires, forwarding wires, pruned selectors), so no
-    engine needs to know the optimizer exists. *)
+    Three passes run in a fixed order.  {!Constprop} evaluates each
+    combinational component, in evaluation order, over a three-point
+    abstract value — a known constant, a bit field of known width, or
+    unknown — whose transfer functions mirror {!Asim_core.Expr.eval}'s
+    placement arithmetic exactly, including unmasked totals and negative
+    intermediates.  {!Narrow} rewrites expressions from inferred widths, and
+    {!Dce} stubs what no observable path reads.  Every rewrite is
+    materialized back into ordinary spec components (constant wires, pruned
+    selectors, trimmed fields), so no engine needs to know the optimizer
+    exists. *)
 
 type level = O0 | O1 | O2
 
@@ -29,11 +30,11 @@ val env_var : string
 (** ["ASIM_OPT"] — the CLI default when [-O] is not given. *)
 
 val skew_env_var : string
-(** ["ASIM_OPT_SKEW"] — set to [1] to plant the deliberate miscompile (CSE
-    value reuse across the evaluation-order boundary, realized as a reversed
-    combinational order) used by the must-fail oracle checks.  Only takes
-    effect when the {!Cse} pass is active and the spec has at least two
-    combinational components. *)
+(** ["ASIM_OPT_SKEW"] — set to [1] to plant the deliberate miscompile (a
+    reversed combinational evaluation order, so components read stale
+    values across the order boundary) used by the must-fail oracle checks.
+    Only takes effect when the {!Dce} pass is active (so at [-O2], not
+    [-O1]) and the spec has at least two combinational components. *)
 
 val env_level : unit -> level
 (** [ASIM_OPT] when set (raising {!Asim_core.Error.Error} on junk), else
@@ -41,27 +42,25 @@ val env_level : unit -> level
 
 type pass =
   | Constprop  (** fold constant components/selector cases, drop dead operands *)
-  | Fuse  (** merge adjacent constant atoms and contiguous same-name fields *)
   | Narrow  (** width-driven mask elision, field trimming, case truncation *)
-  | Cse  (** rewire duplicate computations to a forwarding wire *)
   | Dce  (** stub components whose values are provably unobservable *)
-  | Schedule  (** cost-driven level-major reordering of the evaluation order *)
 
 val all_passes : pass list
+(** The passes in pipeline order. *)
 
 val passes_of_level : level -> pass list
-(** [O0] = none; [O1] = constprop, fuse, narrow; [O2] = all. *)
+(** [O0] = none; [O1] = constprop, narrow; [O2] = all three. *)
 
 val pass_to_string : pass -> string
 
 type stats = {
   folded : int;  (** components replaced by a constant wire *)
-  rewired : int;  (** components replaced by a forwarding wire (CSE) *)
+  rewired : int;
+      (** always 0: no pass forwards one component to another any more.
+          Kept because the benchmark reads it. *)
   stubbed : int;  (** dead components stubbed to constant zero *)
-  fused : int;  (** atom merges, dead-operand drops, selector folds *)
+  fused : int;  (** dead-operand drops and constant selector folds *)
   narrowed : int;  (** mask elisions, field trims/drops, case truncations *)
-  scheduled : bool;  (** whether the scheduler ran (it gates itself off when
-                         any selector could raise at run time) *)
 }
 
 type result = {
@@ -77,7 +76,6 @@ val run_result :
   ?level:level ->
   ?passes:pass list ->
   ?keep:string list ->
-  ?costs:(string * float) list ->
   Asim_analysis.Analysis.t ->
   result
 (** Optimize an analyzed spec.  [passes] overrides [level]'s pass set (for
@@ -85,15 +83,13 @@ val run_result :
     whose values must be preserved exactly and whose width claims cannot be
     trusted — engines pass the fault-plan targets, batch passes every name
     when raw outputs are requested.  Traced components are always kept
-    verbatim.  [costs] is a measured per-component cost model (as produced
-    by [Prof.cost_model]) used by {!Schedule}; omitted, a static flat-word
-    estimate is used. *)
+    verbatim.  The evaluation order is carried over from the input
+    analysis. *)
 
 val run :
   ?level:level ->
   ?passes:pass list ->
   ?keep:string list ->
-  ?costs:(string * float) list ->
   Asim_analysis.Analysis.t ->
   Asim_analysis.Analysis.t
 (** [run_result] without the report. *)

@@ -224,6 +224,24 @@ let test_program_size () =
   Alcotest.(check bool) "non-trivial program" true
     (Flat.program_size analysis > 100)
 
+(* The emitter's peephole is always on.  At -O0 (no middle-end) the
+   concatenation [x.4.7,x.0.3] fuses into one masked load (6 words instead
+   of 9) and the constant in-range selector compiles to its live case (5
+   words instead of 17); the memory's three expressions take 11.  An
+   out-of-range constant selector keeps its dispatch, so it still raises. *)
+let peephole_spec select =
+  Printf.sprintf
+    "# peephole\n= 4\nx* y z .\nA y 1 0 x.4.7,x.0.3\nS z %d x y\nM x 0 z 1 1\n.\n"
+    select
+
+let test_peephole () =
+  Alcotest.(check int) "program words" 22
+    (Flat.program_size (Asim.load_string (peephole_spec 1)));
+  let m = Flat.create ~config:quiet (Asim.load_string (peephole_spec 2)) in
+  match Machine.run m ~cycles:1 with
+  | () -> Alcotest.fail "out-of-range constant selector did not raise"
+  | exception Asim.Error.Error { phase = Asim.Error.Runtime; _ } -> ()
+
 let test_codegen_spans () =
   let tracer = Asim_obs.Tracer.create () in
   let analysis = Asim.load_string diamond in
@@ -265,6 +283,7 @@ let () =
       ( "codegen",
         [
           Alcotest.test_case "program size" `Quick test_program_size;
+          Alcotest.test_case "peephole" `Quick test_peephole;
           Alcotest.test_case "spans" `Quick test_codegen_spans;
         ] );
     ]

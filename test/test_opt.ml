@@ -69,21 +69,22 @@ let observe ?(faults = []) ?(cycles = 20) ~engine ~dead analysis' (spec : Spec.t
 let gen_spec ~wide ~seed ~index =
   Gen.spec_at { Gen.default_size with Gen.wide } ~seed ~index
 
-(* Reference: interpreter over the raw analysis.  Candidate: [engine] over
-   the pass-optimized analysis.  Dead components are masked on both
-   sides. *)
-let observations ?(faults = []) ~passes ~engine spec =
+(* Reference: [reference] (default the interpreter) over the raw analysis.
+   Candidate: [engine] over the pass-optimized analysis.  Dead components
+   are masked on both sides. *)
+let observations ?(faults = []) ?(reference = Asim.Interpreter) ~passes ~engine
+    spec =
   let analysis = Analysis.analyze spec in
   let keep = Fault.targets faults in
   let r = Opt.run_result ~passes ~keep analysis in
-  let reference =
-    observe ~faults ~engine:Asim.Interpreter ~dead:r.Opt.dead analysis spec
-  in
+  let reference = observe ~faults ~engine:reference ~dead:r.Opt.dead analysis spec in
   let candidate = observe ~faults ~engine ~dead:r.Opt.dead r.Opt.analysis spec in
   (reference, candidate)
 
-let check_equiv ?faults ~passes ~engine spec =
-  let reference, candidate = observations ?faults ~passes ~engine spec in
+let check_equiv ?faults ?reference ~passes ~engine spec =
+  let reference, candidate =
+    observations ?faults ?reference ~passes ~engine spec
+  in
   if reference <> candidate then
     Alcotest.failf "divergence (%s, passes [%s]):\nref trace:\n%s\nopt trace:\n%s\nerrors: %s vs %s"
       (Asim.engine_to_string engine)
@@ -95,17 +96,11 @@ let check_equiv ?faults ~passes ~engine spec =
 let pass_prefixes =
   [
     [ Opt.Constprop ];
-    [ Opt.Constprop; Opt.Fuse ];
-    [ Opt.Constprop; Opt.Fuse; Opt.Narrow ];
-    [ Opt.Constprop; Opt.Fuse; Opt.Narrow; Opt.Cse ];
-    [ Opt.Constprop; Opt.Fuse; Opt.Narrow; Opt.Cse; Opt.Dce ];
+    [ Opt.Constprop; Opt.Narrow ];
     Opt.all_passes;
     (* each pass alone, too *)
-    [ Opt.Fuse ];
     [ Opt.Narrow ];
-    [ Opt.Cse ];
     [ Opt.Dce ];
-    [ Opt.Schedule ];
   ]
 
 let test_per_pass_equivalence () =
@@ -129,7 +124,7 @@ let test_equivalence_examples () =
         (fun passes ->
           check_equiv ~passes ~engine:Asim.FlatKernel spec;
           check_equiv ~passes ~engine:Asim.Partitioned spec)
-        [ Opt.all_passes; [ Opt.Constprop; Opt.Fuse; Opt.Narrow ] ])
+        [ Opt.all_passes; [ Opt.Constprop; Opt.Narrow ] ])
     [ Specs.counter; Specs.traffic_light; Specs.divider ]
 
 let test_structured_specs () =
@@ -161,6 +156,35 @@ let test_faults_preserved () =
       check_equiv ~faults ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec
     done
   done
+
+(* Fault targets taint every transitive reader.  A long chain declared
+   consumer-first, with a fault on its head, is the worst case for a closure
+   that re-sweeps the component list until nothing changes (one more link
+   per sweep, so quadratic); the worklist closure is linear. *)
+let test_keep_chain_linear () =
+  let n = 16_000 in
+  let buf = Buffer.create (n * 16) in
+  Buffer.add_string buf "# consumer-first chain\n= 8\nr*";
+  for i = n - 1 downto 0 do
+    Printf.bprintf buf " a%d" i
+  done;
+  Printf.bprintf buf " .\nM r 0 a%d 1 1\n" (n - 1);
+  for i = n - 1 downto 1 do
+    Printf.bprintf buf "A a%d 4 a%d 1\n" i (i - 1)
+  done;
+  Buffer.add_string buf "A a0 4 r 1\n.\n";
+  let spec = Parser.parse_string (Buffer.contents buf) in
+  let faults = [ Fault.flip_bit ~first_cycle:2 ~last_cycle:5 "a0" 3 ] in
+  let analysis = Analysis.analyze spec in
+  let t0 = Unix.gettimeofday () in
+  ignore (Opt.run_result ~level:Opt.O2 ~keep:(Fault.targets faults) analysis);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 2.0 then
+    Alcotest.failf "-O2 with a kept chain head took %.2fs for %d components" dt n;
+  (* The closure compiler is the reference: the interpreter takes most of a
+     second per cycle on a chain this long. *)
+  check_equiv ~faults ~reference:Asim.Compiled ~passes:Opt.all_passes
+    ~engine:Asim.FlatKernel spec
 
 (* DCE must never stub observable state: every traced component, fault
    target and memory input survives verbatim value-wise (checked by
@@ -201,11 +225,12 @@ let test_o0_identity () =
   Alcotest.(check bool) "same analysis" true (r.Opt.analysis == analysis);
   Alcotest.(check (list string)) "no dead" [] r.Opt.dead
 
-(* The planted miscompile: with ASIM_OPT_SKEW=1 and CSE active, a
+(* The planted miscompile: with ASIM_OPT_SKEW=1 and DCE active, a
    multi-component spec must diverge from the reference (the deliberate
    stale-read across the evaluation-order boundary), and without the env
    the very same spec must agree.  [Gen.pipeline] chains combinational
-   stages, so the reversed order is guaranteed to read stale values. *)
+   stages, so the reversed order is guaranteed to read stale values.  The
+   skew is -O2-only: without DCE the same spec must still agree. *)
 let test_skew_must_fail () =
   let spec = Gen.pipeline ~cycles:12 ~cores:3 ~depth:5 ~seed:1 () in
   check_equiv ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec;
@@ -215,7 +240,9 @@ let test_skew_must_fail () =
       in
       if reference = candidate then
         Alcotest.fail
-          "ASIM_OPT_SKEW=1 was not observable — dead must-fail harness")
+          "ASIM_OPT_SKEW=1 was not observable — dead must-fail harness";
+      check_equiv ~passes:(Opt.passes_of_level Opt.O1) ~engine:Asim.FlatKernel
+        spec)
 
 (* The skew rides the oracle too (the CI must-fail path). *)
 let test_skew_oracle () =
@@ -263,6 +290,8 @@ let () =
           Alcotest.test_case "examples" `Quick test_equivalence_examples;
           Alcotest.test_case "structured specs" `Quick test_structured_specs;
           Alcotest.test_case "fault plans" `Quick test_faults_preserved;
+          Alcotest.test_case "kept chain head is linear" `Quick
+            test_keep_chain_linear;
         ] );
       ( "passes",
         [
