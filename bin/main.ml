@@ -262,13 +262,14 @@ let run_cmd =
     (* One middle-end run covers every engine below, including the tiered
        engine's direct [create_status] path; fault targets stay live. *)
     let level = resolve_opt opt in
-    let analysis, optimize_s =
+    let optimized, optimize_s =
       match level with
-      | Asim.Opt.O0 -> (analysis, 0.0)
+      | Asim.Opt.O0 -> (Asim.Opt.run_result ~level analysis, 0.0)
       | _ ->
           timed "pipeline.optimize" (fun () ->
-              Asim.Opt.run ~level ~keep:(Asim.Fault.targets faults) analysis)
+              Asim.Opt.run_result ~level ~keep:(Asim.Fault.targets faults) analysis)
     in
+    let analysis = optimized.Asim.Opt.analysis in
     let trace = if quiet then Asim.Trace.null_sink else Asim.Trace.channel_sink stdout in
     let config = { Asim.Machine.default_config with trace; faults } in
     let prof = if profile then Some (Asim.Prof.create analysis) else None in
@@ -381,6 +382,17 @@ let run_cmd =
                     ("optimize_s", Float optimize_s);
                     ("build_s", Float build_s);
                     ("run_s", Float run_s);
+                  ] );
+              ( "opt",
+                let st = optimized.Asim.Opt.stats in
+                Obj
+                  [
+                    ("level", String (Asim.Opt.level_to_string level));
+                    ("folded", Int st.Asim.Opt.folded);
+                    ("stubbed", Int st.Asim.Opt.stubbed);
+                    ("fused", Int st.Asim.Opt.fused);
+                    ("narrowed", Int st.Asim.Opt.narrowed);
+                    ("dead", Int (List.length optimized.Asim.Opt.dead));
                   ] );
             ]
         in
@@ -1616,7 +1628,9 @@ let bench_cmd =
           stack-machine sieve and the tiny computer, including raw and \
           prep-inclusive speedups and the native engine's amortization \
           point, plus the partitioned engine's 1/2/4/8-domain scaling curve \
-          and par@1-vs-flat overhead on generated 10k-component specs; \
+          and par@1-vs-flat overhead on generated 10k-component specs, \
+          and the front end's per-stage times (parse, analyze, optimize, \
+          flat build) on generated 1k/10k/100k-component meshes; \
           exits nonzero if any engine disagrees with the differential \
           oracle or the par engine falls out of lockstep with flat.")
     Term.(

@@ -77,6 +77,20 @@ type opt_ablation = {
   oa_lockstep : bool;  (* flat -O2 vs flat -O0 observables agree *)
 }
 
+type frontend_stage = {
+  fs_stage : string;
+  fs_ms : float list;  (* min of reps, one per size *)
+  fs_exponent : float;
+}
+
+type frontend = {
+  fe_workload : string;
+  fe_components : int list;
+  fe_reps : int;
+  fe_cores_online : int;
+  fe_stages : frontend_stage list;
+}
+
 type t = {
   cycles : int;
   reps : int;
@@ -84,6 +98,7 @@ type t = {
   workloads : workload list;
   par_scaling : par_scaling list;
   opt_ablation : opt_ablation list;
+  frontend : frontend;
 }
 
 let time f =
@@ -572,6 +587,60 @@ let bench_opt_ablation ~reps ~jit_cache_dir ~name (spec : Asim.Spec.t) =
   }
 
 (* Both workloads park in halt spins, so any cycle budget is safe. *)
+(* The front end at scale: parse, analyze, -O2 optimize and flat build of
+   generated meshes at 1k/10k/100k components, each stage the min of
+   [reps] timings, with the least-squares slope of log time against log
+   size per stage.  The input text is the mesh's pretty-printed source, the
+   path a spec file takes. *)
+let frontend_stages = [ "parse"; "analyze"; "optimize"; "flat_build" ]
+
+let scaling_exponent sizes times =
+  let xs = List.map (fun n -> log (float_of_int n)) sizes in
+  let ys = List.map (fun t -> log (Float.max t 1e-6)) times in
+  let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
+  let mx = mean xs and my = mean ys in
+  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0.0 xs ys in
+  let sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) *. (x -. mx))) 0.0 xs in
+  if sxx > 0.0 then sxy /. sxx else 0.0
+
+let bench_frontend ~reps =
+  let heights = [ 10; 100; 1000 ] in
+  let stage_ms height =
+    let components, text =
+      let spec = Asim_fuzz.Gen.mesh ~width:99 ~height ~seed:1 () in
+      (List.length spec.Asim.Spec.components, Asim.Pretty.spec spec)
+    in
+    let best = Array.make (List.length frontend_stages) infinity in
+    for _ = 1 to reps do
+      Gc.compact ();
+      let spec, parse = time (fun () -> Asim.Parser.parse_string text) in
+      let analysis, analyze = time (fun () -> Asim.Analysis.analyze spec) in
+      let r, optimize = time (fun () -> Asim.Opt.run_result ~level:Asim.Opt.O2 analysis) in
+      let _, build =
+        time (fun () ->
+            Asim_flat.Flat.create ~config:Asim.Machine.quiet_config r.Asim.Opt.analysis)
+      in
+      List.iteri
+        (fun k t -> best.(k) <- Float.min best.(k) (t *. 1000.0))
+        [ parse; analyze; optimize; build ]
+    done;
+    (components, best)
+  in
+  let rows = List.map stage_ms heights in
+  let sizes = List.map fst rows in
+  {
+    fe_workload = "genspec-mesh";
+    fe_components = sizes;
+    fe_reps = reps;
+    fe_cores_online = Domain.recommended_domain_count ();
+    fe_stages =
+      List.mapi
+        (fun k stage ->
+          let ms = List.map (fun (_, best) -> best.(k)) rows in
+          { fs_stage = stage; fs_ms = ms; fs_exponent = scaling_exponent sizes ms })
+        frontend_stages;
+  }
+
 let sieve_spec () =
   Asim_stackm.Microcode.spec ~program:Asim_stackm.Demos.sieve_reassembled ()
 
@@ -617,6 +686,7 @@ let run ?(cycles = Asim_stackm.Programs.sieve_cycles) ?(reps = 3)
               (Asim_fuzz.Gen.pipeline ~cycles:par_cycles ~cores:100 ~depth:99
                  ~seed:1 ());
           ];
+        frontend = bench_frontend ~reps:(max 3 reps);
       })
 
 let engine_row w engine =
@@ -795,6 +865,20 @@ let table t =
         (if o.oa_lockstep then "yes" else "NO — DIVERGED");
       pr "\n")
     t.opt_ablation;
+  (let fe = t.frontend in
+   pr "front end %s: min of %d reps, %d core%s online\n" fe.fe_workload fe.fe_reps
+     fe.fe_cores_online
+     (if fe.fe_cores_online = 1 then "" else "s");
+   pr "  %-12s" "stage";
+   List.iter (fun n -> pr " %10s" (Printf.sprintf "%dk ms" (n / 1000))) fe.fe_components;
+   pr " %9s\n" "exponent";
+   List.iter
+     (fun st ->
+       pr "  %-12s" st.fs_stage;
+       List.iter (fun ms -> pr " %10.1f" ms) st.fs_ms;
+       pr " %9.2f\n" st.fs_exponent)
+     fe.fe_stages;
+   pr "\n");
   (match List.find_opt (fun w -> w.name = "stackm-sieve") t.workloads with
   | Some w ->
       (match ratio w "interp" "compiled" with
@@ -935,6 +1019,26 @@ let opt_ablation_json (o : opt_ablation) =
       ("lockstep_with_o0", Json.Bool o.oa_lockstep);
     ]
 
+let frontend_json fe =
+  Json.Obj
+    [
+      ("workload", Json.String fe.fe_workload);
+      ("components", Json.List (List.map (fun n -> Json.Int n) fe.fe_components));
+      ("reps", Json.Int fe.fe_reps);
+      ("cores_online", Json.Int fe.fe_cores_online);
+      ( "stages",
+        Json.List
+          (List.map
+             (fun st ->
+               Json.Obj
+                 [
+                   ("stage", Json.String st.fs_stage);
+                   ("ms", Json.List (List.map (fun ms -> Json.Float ms) st.fs_ms));
+                   ("scaling_exponent", Json.Float st.fs_exponent);
+                 ])
+             fe.fe_stages) );
+    ]
+
 let to_json t =
   Json.Obj
     [
@@ -945,6 +1049,7 @@ let to_json t =
       ("workloads", Json.List (List.map workload_json t.workloads));
       ("par_scaling", Json.List (List.map par_scaling_json t.par_scaling));
       ("opt_ablation", Json.List (List.map opt_ablation_json t.opt_ablation));
+      ("frontend", frontend_json t.frontend);
       ( "paper",
         Json.Obj
           [

@@ -22,7 +22,11 @@
     the acceptance claim tiered ≈ max(flat, native) including prep, as a
     user hits it the first time.  ["tiered-warm"] (toolchain only) reuses
     the artifact the native row compiled, so the machine swaps at cycle 0
-    — the steady state the content-addressed cache buys across runs. *)
+    — the steady state the content-addressed cache buys across runs.
+
+    Besides the engines, it records the partitioned engine's scaling
+    curve, the middle-end's per-pass ablation, and the front end's
+    per-stage times at 1k/10k/100k components ({!frontend}). *)
 
 type engine_run = {
   engine : string;  (** oracle engine name, e.g. ["flat"] *)
@@ -140,6 +144,26 @@ type opt_ablation = {
   oa_lockstep : bool;
 }
 
+(** One stage of the front-end figure. *)
+type frontend_stage = {
+  fs_stage : string;  (** ["parse"], ["analyze"], ["optimize"] or ["flat_build"] *)
+  fs_ms : float list;  (** min-of-reps milliseconds, one per size *)
+  fs_exponent : float;
+      (** least-squares slope of log time against log components: 1.0 is
+          linear *)
+}
+
+(** The front end at scale: parse, analyze, [-O2] optimize and flat build
+    of generated meshes at 1k/10k/100k components, timed from the mesh's
+    pretty-printed source. *)
+type frontend = {
+  fe_workload : string;
+  fe_components : int list;  (** the sizes, ascending *)
+  fe_reps : int;  (** at least 3, whatever [reps] the harness ran with *)
+  fe_cores_online : int;
+  fe_stages : frontend_stage list;
+}
+
 type t = {
   cycles : int;
   reps : int;
@@ -147,6 +171,7 @@ type t = {
   workloads : workload list;
   par_scaling : par_scaling list;
   opt_ablation : opt_ablation list;
+  frontend : frontend;
 }
 
 val run :

@@ -178,19 +178,28 @@ let run ?artifacts_dir ?time_budget ?(tracer = Asim_obs.Tracer.null) ?feed ?opt
         | None -> ()
         | Some (failure, shrunk) ->
             log (Printf.sprintf "spec %d: %s" index (failure_to_string failure));
-            let bundle =
-              match artifacts_dir with
-              | None -> None
-              | Some root ->
-                  let dir =
-                    Filename.concat root (Printf.sprintf "repro-seed%d-%d" seed index)
-                  in
-                  write_bundle ~dir ~seed ~index ~failure ~original:spec ~shrunk;
+            (* The report is recorded before the bundle is written, so a
+               bundle that cannot be written still fails the campaign. *)
+            let report = { index; failure; original = spec; shrunk; bundle = None } in
+            reports := report :: !reports;
+            match artifacts_dir with
+            | None -> ()
+            | Some root -> (
+                let dir =
+                  Filename.concat root (Printf.sprintf "repro-seed%d-%d" seed index)
+                in
+                let unwritten why =
                   log
-                    (Printf.sprintf "spec %d: reproducer bundle written to %s" index dir);
-                  Some dir
-            in
-            reports := { index; failure; original = spec; shrunk; bundle } :: !reports)
+                    (Printf.sprintf "spec %d: could not write reproducer bundle to %s: %s"
+                       index dir why)
+                in
+                match write_bundle ~dir ~seed ~index ~failure ~original:spec ~shrunk with
+                | () ->
+                    log
+                      (Printf.sprintf "spec %d: reproducer bundle written to %s" index dir);
+                    reports := { report with bundle = Some dir } :: List.tl !reports
+                | exception Sys_error why -> unwritten why
+                | exception Unix.Unix_error (err, _, _) -> unwritten (Unix.error_message err)))
   in
   let pool =
     Asim_batch.Pool.create ~jobs

@@ -74,18 +74,6 @@ let shl x k =
   if k <= 0 then x
   else match x with Known v -> Known (v lsl k) | Field _ | Unknown -> Unknown
 
-(* A sum of known parts is known; a single unknown part plus zero is that
-   part. *)
-let sum values =
-  let c, rest =
-    List.fold_left
-      (fun (c, rest) -> function
-        | Known v -> (c + v, rest)
-        | x -> (c, x :: rest))
-      (0, []) values
-  in
-  match rest with [] -> Known c | [ x ] when c = 0 -> x | _ -> Unknown
-
 (* ALU folding.  [apply_alu] is total, so folding never hides an error; the
    identities below hold for raw (unmasked, possibly negative) operands.
    There is deliberately no shift-by-zero identity: function 6 masks its
@@ -132,140 +120,195 @@ let field_bounds = function
       Some (f, f)
   | Expr.Range (f, t) -> Some (Number.value f, Number.value t)
 
+(* ------------------------------------------------------------------ *)
+(* Dense ids.  [run_result] resolves every component name once, to the
+   component's index in the spec, and the passes below work over arrays
+   indexed by that id.  A component's references are the ids of the [Ref]
+   atoms of its expressions, left to right across [Component.inputs]
+   ([Width.resolve]). *)
+
+module Names = Hashtbl.Make (String)
+
+(* Walkers read one component's reference ids through a cursor, one id per
+   [Ref] atom, left to right.  Rewriters push the ids of the references they
+   keep, so a rewritten component's references come out alongside it. *)
+type cursor = { mutable ids : int array; mutable pos : int }
+
+let next cur =
+  let id = cur.ids.(cur.pos) in
+  cur.pos <- cur.pos + 1;
+  id
+
+type kept = { mutable buf : int array; mutable len : int }
+
+let push kept id =
+  if kept.len = Array.length kept.buf then begin
+    let buf = Array.make ((2 * kept.len) + 8) 0 in
+    Array.blit kept.buf 0 buf 0 kept.len;
+    kept.buf <- buf
+  end;
+  kept.buf.(kept.len) <- id;
+  kept.len <- kept.len + 1
+
+(* [List.map] applying [f] left to right, returning the list itself when
+   [f] changed no element. *)
+let rec map_share f = function
+  | [] -> []
+  | x :: tl as l ->
+      let x' = f x in
+      let tl' = map_share f tl in
+      if x' == x && tl' == tl then l else x' :: tl'
+
+(* A memory with [f] applied to its expressions, in [Component.inputs]
+   order; [None] when [f] changed none of them. *)
+let map_memory f (m : Component.memory) =
+  let addr = f m.addr in
+  let data = f m.data in
+  let op = f m.op in
+  if addr == m.addr && data == m.data && op == m.op then None
+  else Some (Component.Memory { m with addr; data; op })
+
+let has_refs = List.exists (function Expr.Ref _ -> true | _ -> false)
+
 (* Expression -> value, tracking the running bit position exactly as
-   [Expr.atom_contribution] does (filling atoms jump it to the word). *)
-let value_of_expr ~use atoms =
-  let contribution numbits = function
-    | Expr.Const { number; width = None } ->
-        (Known (Number.value number lsl numbits), Bits.word_bits)
-    | Expr.Const { number; width = Some w } ->
-        let w = Number.value w in
-        (Known ((Number.value number land Bits.ones w) lsl numbits), numbits + w)
-    | Expr.Bitstring s ->
-        (Known (bitstring_value s lsl numbits), numbits + String.length s)
-    | Expr.Ref { name; field } -> (
-        match field_bounds field with
-        | None -> (shl (use name) numbits, Bits.word_bits)
-        | Some (lo, hi) ->
-            (shl (ext (use name) lo hi) numbits, numbits + (hi - lo + 1)))
-  in
-  let rec go acc numbits = function
-    | [] -> sum acc
-    | atom :: rest ->
-        let v, numbits = contribution numbits atom in
-        go (v :: acc) numbits rest
-  in
-  go [] 0 (List.rev atoms)
+   [Expr.atom_contribution] does (filling atoms jump it to the word): each
+   atom is placed at the position the atoms to its right leave.  A sum of
+   known parts is known; a single unknown part plus zero is that part. *)
+type total = { mutable known : int; mutable others : int; mutable other : value }
+
+let add t = function
+  | Known v -> t.known <- t.known + v
+  | x ->
+      t.others <- t.others + 1;
+      t.other <- x
+
+let rec place ~use cur t = function
+  | [] -> 0
+  | atom :: rest -> (
+      let id = match atom with Expr.Ref _ -> next cur | _ -> -1 in
+      let numbits = place ~use cur t rest in
+      match atom with
+      | Expr.Const { number; width = None } ->
+          t.known <- t.known + (Number.value number lsl numbits);
+          Bits.word_bits
+      | Expr.Const { number; width = Some w } ->
+          let w = Number.value w in
+          t.known <- t.known + ((Number.value number land Bits.ones w) lsl numbits);
+          numbits + w
+      | Expr.Bitstring s ->
+          t.known <- t.known + (bitstring_value s lsl numbits);
+          numbits + String.length s
+      | Expr.Ref { field; _ } -> (
+          match field_bounds field with
+          | None ->
+              add t (shl (use id) numbits);
+              Bits.word_bits
+          | Some (lo, hi) ->
+              add t (shl (ext (use id) lo hi) numbits);
+              numbits + (hi - lo + 1)))
+
+let value_of_expr ~use cur atoms =
+  let t = { known = 0; others = 0; other = Unknown } in
+  ignore (place ~use cur t atoms : int);
+  if t.others = 0 then Known t.known
+  else if t.others = 1 && t.known = 0 then t.other
+  else Unknown
 
 (* ------------------------------------------------------------------ *)
 (* Width facts.  [Width.infer] is sound — value in [0, 2^w) whenever the
    claimed width is below the word — except for components whose value a
    fault plan may perturb.  Taint every component transitively reachable
-   (in the reader direction) from a kept name and refuse width claims on
+   (in the reader direction) from a kept one and refuse width claims on
    tainted components, and on memories initialized with negative cells
-   (which escape the accounting's non-negative value model). *)
-
-let input_names (c : Component.t) =
-  List.concat_map Expr.names (Component.inputs c)
+   (which escape the accounting's non-negative value model).  A bound of
+   [-1] means no claim. *)
 
 (* One worklist pass over reverse (producer -> reader) edges, the same
    queue discipline as DCE's liveness below. *)
-let taint_closure (components : Component.t list) keep =
-  let tainted = Hashtbl.create 16 in
+let taint_closure refs keep =
+  let n = Array.length refs in
+  let tainted = Array.make n false in
   if keep <> [] then begin
-    let readers = Hashtbl.create 64 in
-    List.iter
-      (fun (c : Component.t) ->
-        List.iter (fun n -> Hashtbl.add readers n c.Component.name) (input_names c))
-      components;
+    let readers = Array.make n [] in
+    Array.iteri (fun r -> Array.iter (fun p -> readers.(p) <- r :: readers.(p))) refs;
     let queue = Queue.create () in
-    let mark n =
-      if not (Hashtbl.mem tainted n) then begin
-        Hashtbl.replace tainted n ();
-        Queue.add n queue
+    let mark i =
+      if not tainted.(i) then begin
+        tainted.(i) <- true;
+        Queue.add i queue
       end
     in
     List.iter mark keep;
     while not (Queue.is_empty queue) do
-      List.iter mark (Hashtbl.find_all readers (Queue.pop queue))
+      List.iter mark readers.(Queue.pop queue)
     done
   end;
   tainted
 
-let make_bounded_width (spec : Spec.t) tainted =
-  let wenv = Width.infer spec in
-  let tbl = Hashtbl.create (max 16 (List.length wenv)) in
-  List.iter (fun (name, w) -> Hashtbl.replace tbl name w) wenv;
-  List.iter
-    (fun (c : Component.t) ->
-      match c.Component.kind with
-      | Component.Memory { init = Some cells; _ }
-        when Array.exists (fun v -> v < 0) cells ->
-          Hashtbl.replace tbl c.Component.name Bits.word_bits
-      | _ -> ())
-    spec.Spec.components;
-  fun name ->
-    if Hashtbl.mem tainted name then None
-    else
-      match Hashtbl.find_opt tbl name with
-      | Some w when w < Bits.word_bits -> Some w
-      | _ -> None
+let bounded_widths ~tainted comps widths =
+  Array.mapi
+    (fun i (c : Component.t) ->
+      let negative_cells =
+        match c.Component.kind with
+        | Component.Memory { init = Some cells; _ } -> Array.exists (fun v -> v < 0) cells
+        | _ -> false
+      in
+      if tainted.(i) || negative_cells || widths.(i) >= Bits.word_bits then -1
+      else widths.(i))
+    comps
 
-(* A sound upper bound on an expression's value under the current width
-   facts; [None] when no bound is provable (the value may even be
-   negative).  Mirrors the evaluator's placement arithmetic. *)
-let expr_ubound ~bw atoms =
-  let clamp = function
-    | Some v when v >= 0 && v <= Bits.mask -> Some v
-    | _ -> None
-  in
-  let contribution numbits = function
-    | Expr.Const { number; width = None } ->
-        let v = Number.value number in
-        ((if v >= 0 then Some (v lsl numbits) else None), Bits.word_bits)
-    | Expr.Const { number; width = Some w } ->
-        let w = Number.value w in
-        (Some ((Number.value number land Bits.ones w) lsl numbits), numbits + w)
-    | Expr.Bitstring s ->
-        (Some (bitstring_value s lsl numbits), numbits + String.length s)
-    | Expr.Ref { name; field } -> (
-        match field_bounds field with
-        | None ->
-            ( (match bw name with
-              | Some w -> Some (Bits.ones w lsl numbits)
-              | None -> None),
-              Bits.word_bits )
-        | Some (lo, hi) ->
-            let fw = hi - lo + 1 in
-            let bound =
-              match bw name with
-              | Some w when w <= lo -> 0
-              | Some w when w - lo < fw -> Bits.ones (w - lo)
-              | _ -> Bits.ones fw
-            in
-            (Some (bound lsl numbits), numbits + fw))
-  in
-  let rec go acc numbits = function
-    | [] -> clamp acc
+(* A sound upper bound on an expression's value under the width bounds
+   [bw]; [-1] when no bound is provable (the value may even be negative).
+   Mirrors the evaluator's placement arithmetic. *)
+let expr_ubound ~bw cur atoms =
+  let acc = ref 0 in
+  let add v = if !acc >= 0 then acc := if v >= 0 && v <= Bits.mask then !acc + v else -1 in
+  let rec go = function
+    | [] -> 0
     | atom :: rest -> (
-        let v, numbits = contribution numbits atom in
-        match (acc, clamp v) with
-        | Some a, Some v -> go (Some (a + v)) numbits rest
-        | _ -> None)
+        let id = match atom with Expr.Ref _ -> next cur | _ -> -1 in
+        let numbits = go rest in
+        match atom with
+        | Expr.Const { number; width = None } ->
+            let v = Number.value number in
+            add (if v >= 0 then v lsl numbits else -1);
+            Bits.word_bits
+        | Expr.Const { number; width = Some w } ->
+            let w = Number.value w in
+            add ((Number.value number land Bits.ones w) lsl numbits);
+            numbits + w
+        | Expr.Bitstring s ->
+            add (bitstring_value s lsl numbits);
+            numbits + String.length s
+        | Expr.Ref { field; _ } -> (
+            let w = bw.(id) in
+            match field_bounds field with
+            | None ->
+                add (if w >= 0 then Bits.ones w lsl numbits else -1);
+                Bits.word_bits
+            | Some (lo, hi) ->
+                let fw = hi - lo + 1 in
+                let bound =
+                  if w >= 0 && w <= lo then 0
+                  else if w >= 0 && w - lo < fw then Bits.ones (w - lo)
+                  else Bits.ones fw
+                in
+                add (bound lsl numbits);
+                numbits + fw))
   in
-  go (Some 0) 0 (List.rev atoms)
+  ignore (go atoms : int);
+  if !acc <= Bits.mask then !acc else -1
 
 (* Can evaluating this component itself raise?  ALUs are total (reads never
    fail either); a selector raises iff its select can leave the case
    range.  Memory address errors belong to the memory phase, which the
    optimizer never reorders. *)
-let never_errors ~bw (c : Component.t) =
+let never_errors ~bw cur (c : Component.t) =
   match c.Component.kind with
   | Component.Alu _ -> true
-  | Component.Selector { select; cases } -> (
-      match expr_ubound ~bw select with
-      | Some bound -> bound < Array.length cases
-      | None -> false)
+  | Component.Selector { select; cases } ->
+      let bound = expr_ubound ~bw cur select in
+      bound >= 0 && bound < Array.length cases
   | Component.Memory _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -305,6 +348,27 @@ let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
     }
   else begin
     let spec = analysis.Analysis.spec in
+    (* [comps] and [refs] hold the current component and its references;
+       a pass that rewrites a component replaces both entries. *)
+    let comps = Array.of_list spec.Spec.components in
+    let n = Array.length comps in
+    let ids = Names.create (max 16 n) in
+    Array.iteri (fun i (c : Component.t) -> Names.replace ids c.Component.name i) comps;
+    let id name = Option.value (Names.find_opt ids name) ~default:(-1) in
+    let ids_of names = List.filter (fun i -> i >= 0) (List.map id names) in
+    let names_of = List.map (fun (c : Component.t) -> c.Component.name) in
+    (* Width rules are compiled while each component is resolved, and
+       re-compiled only for the components a pass rewrites. *)
+    let widths = if has Narrow || has Dce then Some (Width.plan n) else None in
+    let refs =
+      Array.mapi
+        (fun i c ->
+          let r = Width.resolve ~id c in
+          Option.iter (fun plan -> Width.update plan i ~refs:r c) widths;
+          r)
+        comps
+    in
+    let order = Array.of_list (ids_of (names_of analysis.Analysis.order)) in
     let folded = ref 0
     and stubbed = ref 0
     and fused = ref 0
@@ -312,335 +376,319 @@ let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
     (* Opaque components are kept verbatim: traced ones (their widths feed
        VCD headers, their values the per-cycle trace), fault-plan targets,
        and every memory. *)
-    let opaque = Hashtbl.create 64 in
-    List.iter (fun n -> Hashtbl.replace opaque n ()) (Spec.traced_names spec);
-    List.iter (fun n -> Hashtbl.replace opaque n ()) keep;
+    let opaque = Array.make n false in
+    let keep = ids_of keep in
     List.iter
-      (fun (c : Component.t) -> Hashtbl.replace opaque c.Component.name ())
-      analysis.Analysis.memories;
-    let is_opaque n = Hashtbl.mem opaque n in
-    let tainted = taint_closure spec.Spec.components keep in
-    (* --- constant propagation in evaluation order --------------------- *)
-    let consts : (string, int) Hashtbl.t = Hashtbl.create 64 in
+      (fun i -> opaque.(i) <- true)
+      (ids_of (Spec.traced_names spec) @ keep @ ids_of (names_of analysis.Analysis.memories));
+    let tainted = taint_closure refs keep in
+    let cur = { ids = [||]; pos = 0 } and kept = { buf = Array.make 64 0; len = 0 } in
+    let bounded () = bounded_widths ~tainted comps (Width.solve (Option.get widths)) in
+    (* Walk every component with [f]; when [f] returns a new kind, it and
+       the references [f] kept replace the component's entries. *)
+    let rewrite f =
+      Array.iteri
+        (fun i (c : Component.t) ->
+          cur.ids <- refs.(i);
+          cur.pos <- 0;
+          kept.len <- 0;
+          match f i c with
+          | None -> ()
+          | Some kind ->
+              comps.(i) <- { c with Component.kind };
+              refs.(i) <- Array.sub kept.buf 0 kept.len;
+              Option.iter (fun plan -> Width.update plan i ~refs:refs.(i) comps.(i)) widths)
+        comps
+    in
+    (* --- constant propagation ------------------------------------------ *)
+    let consts = Array.make n (-1) in
     if has Constprop then begin
-      let values : (string, value) Hashtbl.t = Hashtbl.create 64 in
-      let use name =
-        if is_opaque name then Unknown
-        else Option.value (Hashtbl.find_opt values name) ~default:Unknown
+      (* A component sees the values of the references evaluated before it
+         in [order]; later ones (and opaque ones) read as unknown, exactly as
+         one sweep in [order] would see them.  The components are visited in
+         a depth-first post-order over those dependencies, started in
+         declaration order, which reads the spec's memory far more
+         sequentially than the analysis's level-by-level order. *)
+      let rank = Array.make n max_int in
+      Array.iteri (fun k i -> rank.(i) <- k) order;
+      let values = Array.make n Unknown in
+      let evaluate i =
+        let use j = if opaque.(j) || rank.(j) >= rank.(i) then Unknown else values.(j) in
+        cur.ids <- refs.(i);
+        cur.pos <- 0;
+        let value e = value_of_expr ~use cur e in
+        let v =
+          match comps.(i).Component.kind with
+          | Component.Alu { fn; left; right } ->
+              let f = value fn in
+              let l = value left in
+              alu f l (value right)
+          | Component.Selector { select; cases } ->
+              let s = value select in
+              sel s (Array.map value cases)
+          | Component.Memory _ -> assert false
+        in
+        values.(i) <- v;
+        match v with
+        | Known k when k >= 0 ->
+            (* A known value implies the component can never raise
+               (selectors only fold through in-range selects), so a
+               constant wire is observably identical.  Negative constants
+               are left alone: they cannot be written back as source
+               literals. *)
+            consts.(i) <- k;
+            incr folded
+        | _ -> ()
       in
-      List.iter
-        (fun (c : Component.t) ->
-          if not (is_opaque c.Component.name) then begin
-            let v =
-              match c.Component.kind with
-              | Component.Alu { fn; left; right } ->
-                  alu (value_of_expr ~use fn) (value_of_expr ~use left)
-                    (value_of_expr ~use right)
-              | Component.Selector { select; cases } ->
-                  sel (value_of_expr ~use select)
-                    (Array.map (value_of_expr ~use) cases)
-              | Component.Memory _ -> assert false
-            in
-            Hashtbl.replace values c.Component.name v;
-            match v with
-            | Known k when k >= 0 ->
-                (* A known value implies the component can never raise
-                   (selectors only fold through in-range selects), so a
-                   constant wire is observably identical.  Negative
-                   constants are left alone: they cannot be written back as
-                   source literals. *)
-                Hashtbl.replace consts c.Component.name k;
-                incr folded
-            | _ -> ()
-          end)
-        analysis.Analysis.order
-    end;
-    (* Reads of a folded component become literal constants. *)
-    let rewrite_atom atom =
-      match atom with
-      | Expr.Ref { name; field } -> (
-          match Hashtbl.find_opt consts name with
-          | None -> atom
-          | Some v -> (
-              match field_bounds field with
-              | None -> const_atom v
-              | Some (lo, hi) ->
-                  Expr.num_w
-                    ((v land Bits.field_mask ~lo ~hi) lsr lo)
-                    ~width:(hi - lo + 1)))
-      | _ -> atom
-    in
-    let rewrite_expr e = List.map rewrite_atom e in
-    (* --- constprop extras on kept components -------------------------- *)
-    let drop_unused_operand fn_value (alu : Component.alu) =
-      if not (has Constprop) then alu
-      else
-        let zero = [ Expr.num_w 0 ~width:1 ] in
-        let has_refs e = Expr.names e <> [] in
-        match Component.alu_function_of_code fn_value with
-        | Component.Fn_left | Component.Fn_not ->
-            if has_refs alu.Component.right then begin
-              incr fused;
-              { alu with Component.right = zero }
-            end
-            else alu
-        | Component.Fn_right ->
-            if has_refs alu.Component.left then begin
-              incr fused;
-              { alu with Component.left = zero }
-            end
-            else alu
-        | Component.Fn_zero | Component.Fn_unused ->
-            let alu =
-              if has_refs alu.Component.left then begin
-                incr fused;
-                { alu with Component.left = zero }
+      let visited = Array.make n false in
+      let dependency i j = (not visited.(j)) && (not opaque.(j)) && rank.(j) < rank.(i) in
+      (* The DFS stack: a component and the index of its next reference. *)
+      let stack = Array.make n 0 and next_ref = Array.make n 0 in
+      for root = 0 to n - 1 do
+        if rank.(root) < max_int && not (visited.(root) || opaque.(root)) then begin
+          visited.(root) <- true;
+          stack.(0) <- root;
+          next_ref.(0) <- 0;
+          let top = ref 0 in
+          while !top >= 0 do
+            let i = stack.(!top) and k = next_ref.(!top) in
+            if k < Array.length refs.(i) then begin
+              next_ref.(!top) <- k + 1;
+              let j = refs.(i).(k) in
+              if dependency i j then begin
+                visited.(j) <- true;
+                incr top;
+                stack.(!top) <- j;
+                next_ref.(!top) <- 0
               end
-              else alu
-            in
-            if has_refs alu.Component.right then begin
-              incr fused;
-              { alu with Component.right = zero }
             end
-            else alu
-        | _ -> alu
-    in
-    let rewrite_component (c : Component.t) =
-      if is_opaque c.Component.name then
-        match c.Component.kind with
-        | Component.Memory { addr; data; op; cells; init } ->
-            (* Memory expressions are rewritten (value-exactly) even though
-               the memory itself is untouchable state. *)
-            {
-              c with
-              Component.kind =
-                Component.Memory
-                  {
-                    addr = rewrite_expr addr;
-                    data = rewrite_expr data;
-                    op = rewrite_expr op;
-                    cells;
-                    init;
-                  };
-            }
-        | _ -> c
-      else
-        match Hashtbl.find_opt consts c.Component.name with
-        | Some v -> { c with Component.kind = wire_kind [ const_atom v ] }
-        | None -> (
-            match c.Component.kind with
-            | Component.Alu { fn; left; right } -> (
-                let a =
-                  {
-                    Component.fn = rewrite_expr fn;
-                    left = rewrite_expr left;
-                    right = rewrite_expr right;
-                  }
-                in
-                match Expr.const_value a.Component.fn with
-                | Some code ->
-                    { c with Component.kind = Component.Alu (drop_unused_operand code a) }
-                | None -> { c with Component.kind = Component.Alu a })
-            | Component.Selector { select; cases } -> (
-                let select = rewrite_expr select in
-                let cases = Array.map rewrite_expr cases in
-                match Expr.const_value select with
-                | Some s when has Constprop && s >= 0 && s < Array.length cases ->
-                    (* Constant in-range select: the selector can never
-                       raise, so it degrades to a wire of the chosen
-                       case. *)
-                    incr fused;
-                    { c with Component.kind = wire_kind cases.(s) }
-                | _ -> { c with Component.kind = Component.Selector { select; cases } })
-            | Component.Memory _ -> assert false)
-    in
-    let components = List.map rewrite_component spec.Spec.components in
+            else begin
+              evaluate i;
+              decr top
+            end
+          done
+        end
+      done;
+      (* Reads of a folded component become literal constants. *)
+      let rewrite_expr =
+        map_share (fun atom ->
+            match atom with
+            | Expr.Ref { field; _ } -> (
+                let i = next cur in
+                let v = consts.(i) in
+                if v < 0 then begin
+                  push kept i;
+                  atom
+                end
+                else
+                  match field_bounds field with
+                  | None -> const_atom v
+                  | Some (lo, hi) ->
+                      Expr.num_w
+                        ((v land Bits.field_mask ~lo ~hi) lsr lo)
+                        ~width:(hi - lo + 1))
+            | _ -> atom)
+      in
+      (* The operands a constant function ignores become constant zero. *)
+      let zero = [ Expr.num_w 0 ~width:1 ] in
+      let operand ~ignored e =
+        let mark = kept.len in
+        let e' = rewrite_expr e in
+        if ignored && has_refs e' then begin
+          kept.len <- mark;
+          incr fused;
+          zero
+        end
+        else e'
+      in
+      rewrite (fun i c ->
+          match c.Component.kind with
+          | Component.Memory m ->
+              (* Memory expressions are rewritten (value-exactly) even though
+                 the memory itself is untouchable state. *)
+              map_memory rewrite_expr m
+          | _ when opaque.(i) -> None
+          | _ when consts.(i) >= 0 -> Some (wire_kind [ const_atom consts.(i) ])
+          | Component.Alu { fn; left; right } ->
+              let fn' = rewrite_expr fn in
+              let ignores_left, ignores_right =
+                match Option.map Component.alu_function_of_code (Expr.const_value fn') with
+                | Some (Component.Fn_left | Component.Fn_not) -> (false, true)
+                | Some Component.Fn_right -> (true, false)
+                | Some (Component.Fn_zero | Component.Fn_unused) -> (true, true)
+                | _ -> (false, false)
+              in
+              let left' = operand ~ignored:ignores_left left in
+              let right' = operand ~ignored:ignores_right right in
+              if fn' == fn && left' == left && right' == right then None
+              else Some (Component.Alu { fn = fn'; left = left'; right = right' })
+          | Component.Selector { select; cases } -> (
+              let select' = rewrite_expr select in
+              match Expr.const_value select' with
+              | Some s when s >= 0 && s < Array.length cases ->
+                  (* Constant in-range select: the selector can never
+                     raise, so it degrades to a wire of the chosen case,
+                     and only that case's references remain. *)
+                  let case = ref [] in
+                  Array.iteri
+                    (fun k e ->
+                      let mark = kept.len in
+                      let e' = rewrite_expr e in
+                      if k = s then case := e' else kept.len <- mark)
+                    cases;
+                  incr fused;
+                  Some (wire_kind !case)
+              | _ ->
+                  let cases' = Array.map rewrite_expr cases in
+                  if select' == select && Array.for_all2 ( == ) cases' cases then None
+                  else Some (Component.Selector { select = select'; cases = cases' })))
+    end;
     (* --- narrow: width-driven mask elision, trims, case truncation ---- *)
-    let current_spec components = { spec with Spec.components = components } in
-    let components =
-      if not (has Narrow) then components
-      else begin
-        let sweep components =
-          let changed = ref false in
-          let bw = make_bounded_width (current_spec components) tainted in
-          let narrow_expr e =
-            (* Position-independent rewrite: a field provably beyond the
-               producer's width is constant zero of the same width.  The
-               leftmost atom additionally allows layout changes: dropping a
-               zero field outright, trimming the high bound, or — when the
-               field covers the whole producer — eliding the mask into a
-               plain (filling) reference, which is the cheap case for every
-               backend. *)
-            let rewrite_at ~leftmost ~rest atom =
-              match atom with
-              | Expr.Ref { name; field } -> (
-                  match (field_bounds field, bw name) with
-                  | Some (lo, hi), Some w ->
-                      if w <= lo then
-                        if leftmost && rest then begin
-                          changed := true;
-                          incr narrowed;
-                          None (* drop: contributes nothing above *)
-                        end
-                        else begin
-                          changed := true;
-                          incr narrowed;
-                          Some (Expr.num_w 0 ~width:(hi - lo + 1))
-                        end
-                      else if leftmost && lo = 0 && w <= hi + 1 && hi < Bits.word_bits - 1
-                      then begin
-                        (* mask elision: value < 2^w <= 2^(hi+1) *)
-                        changed := true;
-                        incr narrowed;
-                        Some (Expr.ref_ name)
-                      end
-                      else if leftmost && hi > w - 1 then begin
-                        changed := true;
-                        incr narrowed;
-                        Some (Expr.ref_range name lo (w - 1))
-                      end
-                      else Some atom
-                  | _ -> Some atom)
-              | _ -> Some atom
+    if has Narrow then begin
+      (* One sweep, over widths inferred once from the constprop'd
+         components. *)
+      let bw = bounded () in
+      let zero_field lo hi = Expr.num_w 0 ~width:(hi - lo + 1) in
+      (* Position-independent rewrite: a field provably beyond the
+         producer's width is constant zero of the same width. *)
+      let narrow_rest =
+        map_share (fun atom ->
+            match atom with
+            | Expr.Ref { field; _ } -> (
+                let i = next cur in
+                match field_bounds field with
+                | Some (lo, hi) when bw.(i) >= 0 && bw.(i) <= lo ->
+                    incr narrowed;
+                    zero_field lo hi
+                | _ ->
+                    push kept i;
+                    atom)
+            | _ -> atom)
+      in
+      (* The leftmost atom additionally allows layout changes: dropping a
+         zero field outright, trimming the high bound, or — when the field
+         covers the whole producer — eliding the mask into a plain (filling)
+         reference, which is the cheap case for every backend. *)
+      let narrow_expr e =
+        match e with
+        | [] -> e
+        | (Expr.Ref { name; field } as head) :: rest -> (
+            let i = next cur in
+            let w = bw.(i) in
+            let head' =
+              match field_bounds field with
+              | Some (lo, hi) when w >= 0 && w <= lo ->
+                  incr narrowed;
+                  (* drop: contributes nothing above *)
+                  if rest <> [] then None else Some (zero_field lo hi)
+              | Some (lo, hi) when w >= 0 && lo = 0 && w <= hi + 1 && hi < Bits.word_bits - 1 ->
+                  (* mask elision: value < 2^w <= 2^(hi+1) *)
+                  incr narrowed;
+                  push kept i;
+                  Some (Expr.ref_ name)
+              | Some (lo, hi) when w >= 0 && hi > w - 1 ->
+                  incr narrowed;
+                  push kept i;
+                  Some (Expr.ref_range name lo (w - 1))
+              | _ ->
+                  push kept i;
+                  Some head
             in
-            match e with
-            | [] -> e
-            | leftmost :: rest ->
-                let rest' =
-                  List.filter_map (rewrite_at ~leftmost:false ~rest:false) rest
-                in
-                let head =
-                  rewrite_at ~leftmost:true ~rest:(rest' <> []) leftmost
-                in
-                match head with Some a -> a :: rest' | None -> rest'
-          in
-          let narrow_component (c : Component.t) =
-            match c.Component.kind with
-            | Component.Memory { addr; data; op; cells; init } ->
-                {
-                  c with
-                  Component.kind =
-                    Component.Memory
-                      {
-                        addr = narrow_expr addr;
-                        data = narrow_expr data;
-                        op = narrow_expr op;
-                        cells;
-                        init;
-                      };
-                }
-            | _ when is_opaque c.Component.name -> c
-            | Component.Alu { fn; left; right } ->
-                {
-                  c with
-                  Component.kind =
-                    Component.Alu
-                      {
-                        fn = narrow_expr fn;
-                        left = narrow_expr left;
-                        right = narrow_expr right;
-                      };
-                }
-            | Component.Selector { select; cases } ->
-                let select = narrow_expr select in
-                let cases = Array.map narrow_expr cases in
-                let cases =
-                  match expr_ubound ~bw select with
-                  | Some bound when bound + 1 < Array.length cases ->
-                      (* Unreachable cases: the select provably stays below
-                         the truncated length, so the (absence of an)
-                         overrun error is preserved. *)
-                      changed := true;
-                      incr narrowed;
-                      Array.sub cases 0 (bound + 1)
-                  | _ -> cases
-                in
-                { c with Component.kind = Component.Selector { select; cases } }
-          in
-          (List.map narrow_component components, !changed)
-        in
-        (* Widths only shrink under these rewrites, so the loop reaches a
-           fixpoint; the cap is a safety net. *)
-        let rec fix components rounds =
-          if rounds = 0 then components
-          else
-            let components', changed = sweep components in
-            if changed then fix components' (rounds - 1) else components'
-        in
-        fix components 32
-      end
-    in
+            let rest' = narrow_rest rest in
+            match head' with
+            | Some h when h == head && rest' == rest -> e
+            | Some h -> h :: rest'
+            | None -> rest')
+        | head :: rest ->
+            let rest' = narrow_rest rest in
+            if rest' == rest then e else head :: rest'
+      in
+      rewrite (fun i c ->
+          match c.Component.kind with
+          | Component.Memory m -> map_memory narrow_expr m
+          | _ when opaque.(i) -> None
+          | Component.Alu { fn; left; right } ->
+              let fn' = narrow_expr fn in
+              let left' = narrow_expr left in
+              let right' = narrow_expr right in
+              if fn' == fn && left' == left && right' == right then None
+              else Some (Component.Alu { fn = fn'; left = left'; right = right' })
+          | Component.Selector { select; cases } ->
+              let select' = narrow_expr select in
+              let bound = expr_ubound ~bw { ids = kept.buf; pos = 0 } select' in
+              (* Unreachable cases: the select provably stays below the
+                 truncated length, so the (absence of an) overrun error is
+                 preserved. *)
+              let reachable =
+                if bound >= 0 && bound + 1 < Array.length cases then bound + 1
+                else Array.length cases
+              in
+              let cases' =
+                Array.mapi
+                  (fun k e ->
+                    let mark = kept.len in
+                    let e' = narrow_expr e in
+                    if k >= reachable then kept.len <- mark;
+                    e')
+                  cases
+              in
+              if reachable < Array.length cases then begin
+                incr narrowed;
+                Some
+                  (Component.Selector
+                     { select = select'; cases = Array.sub cases' 0 reachable })
+              end
+              else if select' == select && Array.for_all2 ( == ) cases' cases then None
+              else Some (Component.Selector { select = select'; cases = cases' }))
+    end;
     (* --- dce: stub components no observable path can reach ------------ *)
-    let components, dead =
-      if not (has Dce) then (components, [])
+    let dead =
+      if not (has Dce) then []
       else begin
-        let bw_final = make_bounded_width (current_spec components) tainted in
-        let by_name = Hashtbl.create 64 in
-        List.iter
-          (fun (c : Component.t) -> Hashtbl.replace by_name c.Component.name c)
-          components;
-        let live = Hashtbl.create 64 in
+        let bw = bounded () in
+        let live = Array.make n false in
         let queue = Queue.create () in
-        let mark n =
-          if (not (Hashtbl.mem live n)) && Hashtbl.mem by_name n then begin
-            Hashtbl.replace live n ();
-            Queue.add n queue
+        let mark i =
+          if not live.(i) then begin
+            live.(i) <- true;
+            Queue.add i queue
           end
         in
         (* Roots: state and I/O (memories), everything the trace prints,
            fault targets, and any component whose own evaluation might
            raise (its error — and therefore its input values — is
            observable even if its output is not). *)
-        List.iter
-          (fun (c : Component.t) ->
-            let n = c.Component.name in
-            if is_opaque n || not (never_errors ~bw:bw_final c) then mark n)
-          components;
+        Array.iteri
+          (fun i c ->
+            cur.ids <- refs.(i);
+            cur.pos <- 0;
+            if opaque.(i) || not (never_errors ~bw cur c) then mark i)
+          comps;
         while not (Queue.is_empty queue) do
-          let n = Queue.pop queue in
-          match Hashtbl.find_opt by_name n with
-          | Some c -> List.iter mark (input_names c)
-          | None -> ()
+          Array.iter mark refs.(Queue.pop queue)
         done;
         let dead = ref [] in
-        let components =
-          List.map
-            (fun (c : Component.t) ->
-              let n = c.Component.name in
-              if
-                Hashtbl.mem live n || is_opaque n
-                || Component.is_memory c
-              then c
-              else begin
-                dead := n :: !dead;
-                incr stubbed;
-                { c with Component.kind = stub_kind }
-              end)
-            components
-        in
-        (components, List.rev !dead)
+        Array.iteri
+          (fun i (c : Component.t) ->
+            if not (live.(i) || opaque.(i) || Component.is_memory c) then begin
+              dead := c.Component.name :: !dead;
+              incr stubbed;
+              comps.(i) <- { c with Component.kind = stub_kind }
+            end)
+          comps;
+        List.rev !dead
       end
     in
-    (* --- rebuild the analysis (order, memories) ----------------------- *)
-    let by_name = Hashtbl.create 64 in
-    List.iter
-      (fun (c : Component.t) -> Hashtbl.replace by_name c.Component.name c)
-      components;
-    let order =
-      List.map
-        (fun (c : Component.t) -> Hashtbl.find by_name c.Component.name)
-        analysis.Analysis.order
-    in
+    (* --- rebuild the analysis (order, memories) by id ----------------- *)
+    let order = Array.fold_right (fun i acc -> comps.(i) :: acc) order [] in
     (* --- planted miscompile: stale reads across the order boundary ---- *)
     let order = if skew && List.length order >= 2 then List.rev order else order in
-    let memories =
-      List.filter (fun (c : Component.t) -> Component.is_memory c) components
-    in
+    let components = Array.to_list comps in
     let analysis' =
       {
         Analysis.spec = { spec with Spec.components = components };
         order;
-        memories;
+        memories = List.filter Component.is_memory components;
         warnings = analysis.Analysis.warnings;
       }
     in

@@ -361,6 +361,23 @@ let test_fuzz_divergence_bundle () =
       Alcotest.(check bool) "bundle keeps the original" true
         (Sys.file_exists (Filename.concat bundle "original.asim")))
 
+(* A divergence whose reproducer bundle cannot be written (the artifacts
+   directory is a regular file) still fails the campaign, and says why. *)
+let test_fuzz_unwritable_bundle () =
+  let file = Filename.temp_file "asim-fuzz" ".not-a-dir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let code, text =
+        run_cli ~env:"ASIM_OPT_SKEW=1"
+          (Printf.sprintf "fuzz --seed 3 --count 30 -O2 --artifacts-dir %s"
+             (Filename.quote file))
+      in
+      Alcotest.(check int) "divergence exits 1" 1 code;
+      Alcotest.(check bool) "says the bundle was not written" true
+        (contains text "could not write reproducer bundle");
+      Alcotest.(check bool) "no clean summary" false (contains text "no divergences"))
+
 let manifest_lines =
   [
     {|{"example":"counter","id":"a"}|};
@@ -528,6 +545,37 @@ let test_run_trace_and_stats_json () =
                       | _ -> Alcotest.failf "bad timing %s" stage)
                     [ "parse_s"; "analyze_s"; "build_s"; "run_s" ]
               | None -> Alcotest.fail "missing timings object")))
+
+(* --stats-json reports what the optimizer did: [k] folds to a constant
+   wire, after which nothing reads it, and [dead] was never read, so -O2
+   stubs both; -O0 reports a level-0 object of zeros. *)
+let opt_spec =
+  "# opt report\n= 4\ncount* inc k dead .\nA k 1 0 5\nA inc 4 count k\n\
+   A dead 4 count 1\nM count 0 inc 1 1\n.\n"
+
+let test_run_stats_json_opt () =
+  with_spec opt_spec (fun spec ->
+      in_temp ".stats" (fun stats ->
+          let opt_fields level =
+            let code, text =
+              run_cli
+                (Printf.sprintf "run %s -q -O %s --stats-json %s" (Filename.quote spec) level
+                   (Filename.quote stats))
+            in
+            if code <> 0 then Alcotest.failf "run -O %s failed: %s" level text;
+            match Asim_batch.Json.member "opt" (Asim_batch.Json.parse (read_file stats)) with
+            | None -> Alcotest.failf "-O %s: missing opt object" level
+            | Some o ->
+                ( Option.bind (Asim_batch.Json.member "level" o) Asim_batch.Json.to_string_opt,
+                  List.map
+                    (fun f -> Option.bind (Asim_batch.Json.member f o) Asim_batch.Json.to_int)
+                    [ "folded"; "stubbed"; "fused"; "narrowed"; "dead" ] )
+          in
+          let some = List.map Option.some in
+          Alcotest.(check (pair (option string) (list (option int))))
+            "-O2" (Some "2", some [ 1; 2; 0; 0; 2 ]) (opt_fields "2");
+          Alcotest.(check (pair (option string) (list (option int))))
+            "-O0" (Some "0", some [ 0; 0; 0; 0; 0 ]) (opt_fields "0")))
 
 let test_batch_trace () =
   with_manifest (fun manifest ->
@@ -765,6 +813,8 @@ let () =
             test_fuzz_replay_deterministic;
           Alcotest.test_case "fuzz divergence bundle" `Quick
             test_fuzz_divergence_bundle;
+          Alcotest.test_case "fuzz unwritable bundle" `Quick
+            test_fuzz_unwritable_bundle;
           Alcotest.test_case "fuzz parallel determinism" `Quick
             test_fuzz_jobs_deterministic;
           Alcotest.test_case "batch smoke" `Quick test_batch_smoke;
@@ -774,6 +824,7 @@ let () =
           Alcotest.test_case "serve stdin" `Quick test_serve_stdin;
           Alcotest.test_case "run trace + stats json" `Quick
             test_run_trace_and_stats_json;
+          Alcotest.test_case "run stats json opt" `Quick test_run_stats_json_opt;
           Alcotest.test_case "batch trace" `Quick test_batch_trace;
           Alcotest.test_case "fuzz trace" `Quick test_fuzz_trace;
           Alcotest.test_case "serve metrics request" `Quick test_serve_metrics_request;

@@ -280,6 +280,46 @@ let test_optimizer_wins () =
   if opt >= raw then
     Alcotest.failf "O2 did not shrink the flat program (%d -> %d words)" raw opt
 
+(* The -O2 output is pinned: spec text, evaluation order and dead list by
+   MD5, plus the statistics and the flat program size, on one mesh and one
+   pipeline round-tripped through the pretty-printer and parser (the path a
+   spec file takes).  A rewrite of the optimizer's internals must leave
+   every one of these unchanged. *)
+let test_o2_golden () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let names l = String.concat " " (List.map (fun (c : Component.t) -> c.name) l) in
+  List.iter
+    (fun (label, spec, spec_md5, order_md5, dead_md5, (folded, stubbed, fused, narrowed), words) ->
+      let analysis = Analysis.analyze (Parser.parse_string (Pretty.spec spec)) in
+      let r = Opt.run_result ~level:Opt.O2 analysis in
+      let a = r.Opt.analysis in
+      let check what = Alcotest.(check string) (label ^ " " ^ what) in
+      check "spec" spec_md5 (md5 (Pretty.spec a.Analysis.spec));
+      check "order" order_md5 (md5 (names a.Analysis.order));
+      check "dead" dead_md5 (md5 (String.concat " " r.Opt.dead));
+      let s = r.Opt.stats in
+      Alcotest.(check (list int))
+        (label ^ " folded/stubbed/fused/narrowed")
+        [ folded; stubbed; fused; narrowed ]
+        [ s.Opt.folded; s.Opt.stubbed; s.Opt.fused; s.Opt.narrowed ];
+      Alcotest.(check int) (label ^ " flat words") words (Flat.program_size a))
+    [
+      ( "mesh 99x100",
+        Gen.mesh ~cycles:2000 ~width:99 ~height:100 ~seed:1 (),
+        "d54009e6698f0b290e81f7c16690fc3c",
+        "6bff96b889f209680c027a08ef6ba257",
+        "555ef50e1edb9310c7a733da64259593",
+        (0, 6766, 0, 2755),
+        73048 );
+      ( "pipeline 100x9",
+        Gen.pipeline ~cycles:50000 ~cores:100 ~depth:9 ~seed:1 (),
+        "8c23d79097d86e1ec6ae86b023109b2a",
+        "7634260d9ea538e439892dac2494314e",
+        "9fa086f8aed4bece1ca4ece498766bc8",
+        (24, 46, 0, 275),
+        14885 );
+    ]
+
 let () =
   Alcotest.run "opt"
     [
@@ -299,6 +339,7 @@ let () =
           Alcotest.test_case "narrow idempotent" `Quick test_narrow_idempotent;
           Alcotest.test_case "O0 identity" `Quick test_o0_identity;
           Alcotest.test_case "optimizer wins" `Quick test_optimizer_wins;
+          Alcotest.test_case "O2 golden" `Quick test_o2_golden;
         ] );
       ( "honesty",
         [
