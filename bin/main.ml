@@ -46,7 +46,11 @@ let engine_arg_with default =
       ( (fun s ->
           match Asim.engine_of_string s with
           | Some e -> Ok e
-          | None -> Error (`Msg ("unknown engine " ^ s))),
+          | None ->
+              Error
+                (`Msg
+                  ("unknown engine " ^ s
+                 ^ " (expected interp, compiled, flat, native or tiered)"))),
         fun ppf e -> Format.pp_print_string ppf (Asim.engine_to_string e) )
   in
   Arg.(
@@ -60,9 +64,8 @@ let engine_arg_with default =
            the host toolchain and Dynlinked in; needs ocamlfind/ocamlopt on \
            PATH), $(b,tiered) (starts on $(b,flat), compiles in a \
            background domain and hot-swaps to $(b,native) at a cycle \
-           boundary; runs entirely on $(b,flat) when no toolchain answers) \
-           or $(b,par) (the flat kernel partitioned across domains and run \
-           bulk-synchronously; see $(b,--domains)).")
+           boundary; runs entirely on $(b,flat) when no toolchain \
+           answers).")
 
 let engine_arg = engine_arg_with Asim.Compiled
 
@@ -192,51 +195,9 @@ let fault_conv =
   let parse s = try parse s with Failure _ -> Error (`Msg ("bad fault " ^ s)) in
   Arg.conv (parse, fun ppf (f : Asim.Fault.fault) -> Format.pp_print_string ppf f.component)
 
-(* --par-profile accepts either shape a profile travels in: the `asim
-   profile --json` document itself, or an `asim run --stats-json` file with
-   the profile embedded under "profile".  Memory rows are dropped — the
-   partitioner balances combinational work only. *)
-let par_costs_of_file path =
-  let json =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          Asim_batch.Json.parse (really_input_string ic (in_channel_length ic)))
-    with
-    | Sys_error msg ->
-        prerr_endline ("asim: --par-profile: " ^ msg);
-        exit 2
-    | Failure msg ->
-        prerr_endline ("asim: --par-profile: " ^ path ^ ": " ^ msg);
-        exit 2
-  in
-  let open Asim_batch.Json in
-  let doc = match member "profile" json with Some p -> p | None -> json in
-  match Option.bind (member "components" doc) to_list with
-  | None ->
-      prerr_endline
-        ("asim: --par-profile: " ^ path
-       ^ ": no \"components\" list (expected `asim profile --json` or `asim \
-          run --profile --stats-json` output)");
-      exit 2
-  | Some rows ->
-      List.filter_map
-        (fun row ->
-          match
-            ( Option.bind (member "name" row) to_string_opt,
-              Option.bind (member "kind" row) to_string_opt,
-              Option.bind (member "cost" row) to_int )
-          with
-          | Some _, Some "M", _ -> None
-          | Some name, _, Some cost -> Some (name, float_of_int cost)
-          | _ -> None)
-        rows
-
 let run_cmd =
   let run path engine cycles stats quiet vcd faults interactive trace_out stats_json
-      profile domains par_profile opt =
+      profile opt =
     let tracer = tracer_for trace_out in
     (* Stage timings come from {!Asim_obs.Clock} so --stats-json is
        deterministic under a mock clock; the same boundaries become
@@ -273,7 +234,6 @@ let run_cmd =
     let trace = if quiet then Asim.Trace.null_sink else Asim.Trace.channel_sink stdout in
     let config = { Asim.Machine.default_config with trace; faults } in
     let prof = if profile then Some (Asim.Prof.create analysis) else None in
-    let par_costs = Option.map par_costs_of_file par_profile in
     let (machine, tiered_status), build_s =
       (* The tiered engine is built through [create_status] so --stats-json
          can record how the swap resolved (swapped/pending/unavailable/...). *)
@@ -285,9 +245,7 @@ let run_cmd =
               in
               (m, Some status)
           | _ ->
-              ( Asim.machine ~config ~engine ~tracer ?prof ?domains
-                  ?par_costs analysis,
-                None ))
+              (Asim.machine ~config ~engine ~tracer ?prof analysis, None))
     in
     let cycles =
       match cycles with Some n -> n | None -> Asim.Machine.spec_cycles machine ~default:0
@@ -473,35 +431,11 @@ let run_cmd =
              embedded in $(b,--stats-json) output).  Unsupported on the \
              $(b,native) engine; pins $(b,tiered) to the flat kernel.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Partition count for the $(b,par) engine (default: \
-             ASIM_PAR_DOMAINS, else the machine's core count, capped at 8).  \
-             Behavior is identical at every count — only the schedule \
-             changes.  Other engines ignore this.")
-  in
-  let par_profile_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "par-profile" ] ~docv:"FILE"
-          ~doc:
-            "Feed a measured cost model to the $(b,par) engine's \
-             partitioner: FILE is $(b,asim profile --json) output (or an \
-             $(b,asim run --profile --stats-json) file) from an earlier run \
-             of the same spec.  Components the profile does not cover fall \
-             back to static flat-program word counts.  Other engines ignore \
-             this.")
-  in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a specification.")
     Term.(
       const run $ file_arg $ engine_arg $ cycles_arg $ stats_arg $ quiet_arg $ vcd_arg
       $ faults_arg $ interactive_arg $ trace_out_arg $ stats_json_arg $ profile_arg
-      $ domains_arg $ par_profile_arg $ opt_arg)
+      $ opt_arg)
 
 (* --- codegen --------------------------------------------------------------- *)
 
@@ -1509,9 +1443,9 @@ let genspec_cmd =
       & info [ "k"; "kind" ] ~docv:"KIND"
           ~doc:
             "Workload shape: $(b,pipeline) (replicated cores of chained \
-             stages with deliberate cross-core combinational edges — the \
-             partitioned engine's hard case) or $(b,mesh) (a 2-D grid whose \
-             inter-row traffic flows through registers — its best case).")
+             stages with deliberate cross-core combinational edges) or \
+             $(b,mesh) (a 2-D grid whose inter-row traffic flows through \
+             registers).")
   in
   let cores_arg =
     Arg.(
@@ -1560,8 +1494,9 @@ let genspec_cmd =
     (Cmd.info "genspec"
        ~doc:
          "Generate a structured benchmark specification (1k-100k components) \
-          for exercising the partitioned engine: replicated pipelined cores \
-          or a 2-D mesh, deterministic for a fixed seed, always within the \
+          for exercising the front end and the flat kernel at scale: \
+          replicated pipelined cores or a 2-D mesh, deterministic for a \
+          fixed seed, always within the \
           width/select/memory-op envelope every engine and the differential \
           oracle accept.")
     Term.(
@@ -1569,10 +1504,8 @@ let genspec_cmd =
       $ seed_arg $ gen_cycles_arg $ out_arg)
 
 let bench_cmd =
-  let run cycles reps check_cycles par_cycles out =
-    let t =
-      Asim_benchkit.Benchkit.run ?cycles ~reps ~check_cycles ~par_cycles ()
-    in
+  let run cycles reps check_cycles out =
+    let t = Asim_benchkit.Benchkit.run ?cycles ~reps ~check_cycles () in
     print_string (Asim_benchkit.Benchkit.table t);
     (match out with
     | None -> ()
@@ -1605,14 +1538,6 @@ let bench_cmd =
       & info [ "check-cycles" ] ~docv:"N"
           ~doc:"Cycle budget for the differential-oracle agreement check.")
   in
-  let par_cycles_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "par-cycles" ] ~docv:"N"
-          ~doc:
-            "Cycle budget for the 10k-component par-scaling workloads \
-             (default 200).")
-  in
   let out_arg =
     Arg.(
       value
@@ -1624,18 +1549,17 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Compare the simulation engines (interp, compiled, lowered, flat, \
-          flat-full, par, and native when a toolchain is on PATH) on the \
+          flat-full, and native when a toolchain is on PATH) on the \
           stack-machine sieve and the tiny computer, including raw and \
           prep-inclusive speedups and the native engine's amortization \
-          point, plus the partitioned engine's 1/2/4/8-domain scaling curve \
-          and par@1-vs-flat overhead on generated 10k-component specs, \
-          and the front end's per-stage times (parse, analyze, optimize, \
-          flat build) on generated 1k/10k/100k-component meshes; \
-          exits nonzero if any engine disagrees with the differential \
-          oracle or the par engine falls out of lockstep with flat.")
+          point, plus the optimizer's per-pass ablation on generated \
+          10k-component specs and the front end's per-stage times (parse, \
+          analyze, optimize, flat build) on generated \
+          1k/10k/100k-component meshes; exits nonzero if any engine \
+          disagrees with the differential oracle or an optimized run falls \
+          out of lockstep with its -O0 twin.")
     Term.(
-      const run $ bench_cycles_arg $ reps_arg $ check_cycles_arg
-      $ par_cycles_arg $ out_arg)
+      const run $ bench_cycles_arg $ reps_arg $ check_cycles_arg $ out_arg)
 
 (* --- fmt -------------------------------------------------------------------- *)
 

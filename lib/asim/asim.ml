@@ -23,7 +23,6 @@ module Compile = Asim_compile.Compile
 module Flat = Asim_flat.Flat
 module Jit = Asim_jit.Jit
 module Tiered = Asim_tiered.Tiered
-module Par = Asim_par.Par
 module Prof = Asim_prof.Prof
 module Opt = Asim_opt.Opt
 module Specs = Specs
@@ -34,7 +33,6 @@ type engine =
   | FlatKernel
   | Native
   | TieredEngine
-  | Partitioned
 
 let engine_of_string s =
   match String.lowercase_ascii s with
@@ -43,7 +41,6 @@ let engine_of_string s =
   | "flat" | "flat-kernel" | "flatkernel" -> Some FlatKernel
   | "native" | "jit" -> Some Native
   | "tiered" | "tier" -> Some TieredEngine
-  | "par" | "bsp" | "partitioned" -> Some Partitioned
   | _ -> None
 
 let engine_to_string = function
@@ -52,14 +49,13 @@ let engine_to_string = function
   | FlatKernel -> "flat"
   | Native -> "native"
   | TieredEngine -> "tiered"
-  | Partitioned -> "par"
 
 let load_string source = Analysis.analyze (Parser.parse_string source)
 
 let load_file path = Analysis.analyze (Parser.parse_file path)
 
 let machine ?config ?(engine = Compiled) ?optimize ?opt ?schedule
-    ?tracer ?prof ?domains ?par_costs analysis =
+    ?tracer ?prof analysis =
   (* The middle-end runs once, up front, on the analyzed spec — every engine
      below consumes the rewritten analysis unchanged.  Fault targets are kept
      verbatim (their widths can't be trusted and their values are observable
@@ -88,14 +84,6 @@ let machine ?config ?(engine = Compiled) ?optimize ?opt ?schedule
              plugin carries no counters); use flat, tiered, compiled or \
              interp")
   | TieredEngine -> Tiered.create ?config ?tracer ?prof analysis
-  | Partitioned -> (
-      match prof with
-      | None -> Par.create ?config ?tracer ?domains ?costs:par_costs analysis
-      | Some _ ->
-          Error.failf Error.Runtime
-            "the partitioned engine does not support profiling (per-eval \
-             counters would race across domains); collect the profile on \
-             flat and feed its cost model back with --par-profile")
 
 let run_analysis ?config ?engine ?cycles analysis =
   let m = machine ?config ?engine analysis in

@@ -27,7 +27,6 @@ module Compile = Asim_compile.Compile
 module Flat = Asim_flat.Flat
 module Jit = Asim_jit.Jit
 module Tiered = Asim_tiered.Tiered
-module Par = Asim_par.Par
 module Prof = Asim_prof.Prof
 module Opt = Asim_opt.Opt
 
@@ -40,22 +39,17 @@ module Specs : module type of Specs
     Dynlink-JIT over the codegen backend ({!Jit} — needs an OCaml toolchain
     on PATH); [TieredEngine] starts on the flat kernel and hot-swaps to the
     native engine at a cycle boundary once a background compile finishes
-    ({!Tiered} — degrades to flat-only without a toolchain);
-    [Partitioned] is the flat kernel partitioned across domains and run
-    bulk-synchronously ({!Par} — domain count from [?domains], then
-    [ASIM_PAR_DOMAINS], then the core count). *)
+    ({!Tiered} — degrades to flat-only without a toolchain). *)
 type engine =
   | Interpreter
   | Compiled
   | FlatKernel
   | Native
   | TieredEngine
-  | Partitioned
 
 val engine_of_string : string -> engine option
 (** ["interp"]/["asim"], ["compiled"]/["asim2"], ["flat"],
-    ["native"]/["jit"], ["tiered"] and ["par"]/["bsp"]
-    (case-insensitive). *)
+    ["native"]/["jit"] and ["tiered"] (case-insensitive). *)
 
 val engine_to_string : engine -> string
 
@@ -72,8 +66,6 @@ val machine :
   ?schedule:Flat.schedule ->
   ?tracer:Asim_obs.Tracer.t ->
   ?prof:Prof.t ->
-  ?domains:int ->
-  ?par_costs:(string * float) list ->
   Analysis.t ->
   Machine.t
 (** Instantiate a runnable machine.  Defaults: [Compiled] engine, paper
@@ -82,13 +74,11 @@ val machine :
     middle-end, i.e. [O0]) — every engine consumes the rewritten spec;
     fault-plan targets from [config] are kept verbatim.  [optimize]
     applies to the [Compiled] engine's own §4.4 closure optimizations only;
-    [schedule] and [tracer] to [FlatKernel] only;
-    [domains] and [par_costs] (a measured per-component cost model for the
-    partitioner) to [Partitioned] only.  [prof] attaches an {!Prof} profile
-    to any engine except [Native] (whose generated plugin carries no
-    counters) and [Partitioned] (whose counters would race across domains)
-    — requesting either raises {!Error.Error}; a profiled [TieredEngine]
-    run is pinned to the instrumented flat kernel. *)
+    [schedule] and [tracer] to [FlatKernel] only.  [prof] attaches an
+    {!Prof} profile to any engine except [Native] (whose generated plugin
+    carries no counters) — requesting it there raises {!Error.Error}; a
+    profiled [TieredEngine] run is pinned to the instrumented flat
+    kernel. *)
 
 val run_string :
   ?config:Machine.config -> ?engine:engine -> ?cycles:int -> string -> Machine.t

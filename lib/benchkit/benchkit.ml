@@ -8,7 +8,6 @@ type engine_run = {
   wall_s : float;
   ns_per_cycle : float;
   compiler : string option;
-  domains : int option;
 }
 
 type profiling = {
@@ -29,29 +28,6 @@ type workload = {
   tiered_swap : string;
   engines : engine_run list;
   profiling : profiling;
-}
-
-type par_run = {
-  pr_domains : int;
-  pr_build_s : float;
-  pr_wall_s : float;
-  pr_ns_per_cycle : float;
-  pr_ngroups : int;
-  pr_cut : int;
-  pr_speedup_vs_par1 : float;
-  pr_scaling_valid : bool;
-}
-
-type par_scaling = {
-  ps_workload : string;
-  ps_components : int;
-  ps_cycles : int;
-  ps_cores_online : int;
-  ps_compile_span_ms : float;
-  ps_flat_wall_s : float;
-  ps_par1_overhead_vs_flat : float;
-  ps_lockstep : bool;
-  ps_runs : par_run list;
 }
 
 type opt_step = {
@@ -96,7 +72,6 @@ type t = {
   reps : int;
   cores_online : int;
   workloads : workload list;
-  par_scaling : par_scaling list;
   opt_ablation : opt_ablation list;
   frontend : frontend;
 }
@@ -119,9 +94,6 @@ let measured () =
     Oracle.Lowered;
     Oracle.Flat;
     Oracle.FlatFull;
-    (* default domain count — ASIM_PAR_DOMAINS, else the core count; on a
-       one-core box this row is the par@1 overhead ablation *)
-    Oracle.Par;
   ]
   @ (if Oracle.available Oracle.Native then [ Oracle.Native ] else [])
 
@@ -174,10 +146,6 @@ let bench_engine ~reps ~cycles ~jit_cache_dir analysis engine =
       (match engine with
       | Oracle.Native -> Asim_jit.Jit.toolchain_description ()
       | _ -> None);
-    domains =
-      (match engine with
-      | Oracle.Par -> Some (Asim_par.Par.default_domains ())
-      | _ -> None);
   }
 
 (* The tiered row benches the engine exactly as a user hits it cold: empty
@@ -222,7 +190,6 @@ let bench_tiered ~reps ~cycles ~jit_cache_dir analysis =
       wall_s = !wall;
       ns_per_cycle = !wall /. float_of_int (max 1 cycles) *. 1e9;
       compiler = Asim_jit.Jit.toolchain_description ();
-      domains = None;
     },
     Tiered.swap_state_to_string !swap )
 
@@ -257,7 +224,6 @@ let bench_tiered_warm ~reps ~cycles ~jit_cache_dir analysis =
     wall_s = !wall;
     ns_per_cycle = !wall /. float_of_int (max 1 cycles) *. 1e9;
     compiler = Asim_jit.Jit.toolchain_description ();
-    domains = None;
   }
 
 (* Profiling overhead: the flat kernel with per-component counters on
@@ -350,111 +316,6 @@ let run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir ~name
     tiered_swap;
     engines;
     profiling;
-  }
-
-(* The partitioned engine's scaling figure: a generated 10k-component spec
-   (far past the fixed workloads' ~40 components — the regime the BSP
-   engine exists for), the flat kernel as the baseline, then par at 1, 2, 4
-   and 8 domains.  The par@1 row is the overhead ablation: the same
-   partition-major program through the engine's dispatch with no pool,
-   barrier or mailbox — recorded even when it loses to flat.  Rows where
-   the host has fewer cores than the row has domains are tagged
-   [pr_scaling_valid = false]: timing domains the scheduler must
-   time-slice says nothing about the algorithm, and the figure must not
-   pretend otherwise.  A short lockstep check against flat rides along so
-   the speedup curve always travels with a correctness witness. *)
-let bench_par_scaling ~reps ~name (spec : Asim.Spec.t) =
-  let cores_online = Domain.recommended_domain_count () in
-  let cycles = Option.value spec.Asim.Spec.cycles ~default:200 in
-  (* the compile span the observatory records for this spec — satellite
-     evidence that building a 10k-component flat program is milliseconds *)
-  let tracer = Asim_obs.Tracer.create () in
-  let analysis = Asim.Analysis.analyze spec in
-  ignore (Asim_flat.Flat.compile ~tracer analysis);
-  let compile_span_ms =
-    List.fold_left
-      (fun acc (e : Asim_obs.Tracer.event) ->
-        if e.name = "codegen.flat.compile" then acc +. (e.dur_us /. 1000.0)
-        else acc)
-      0.0
-      (Asim_obs.Tracer.events tracer)
-  in
-  let config = Asim.Machine.quiet_config in
-  let bench build =
-    let first, build_s = time build in
-    Asim.Machine.run first ~cycles:(min cycles 64);
-    let wall = ref infinity in
-    for _ = 1 to max 1 reps do
-      let m = build () in
-      let (), t = time (fun () -> Asim.Machine.run m ~cycles) in
-      wall := Float.min !wall t
-    done;
-    (build_s, !wall)
-  in
-  let _, flat_wall = bench (fun () -> Asim_flat.Flat.create ~config analysis) in
-  let runs =
-    List.map
-      (fun domains ->
-        let plan = Asim_par.Par.plan ~domains analysis in
-        let build_s, wall =
-          bench (fun () -> Asim_par.Par.create ~config ~domains analysis)
-        in
-        {
-          pr_domains = domains;
-          pr_build_s = build_s;
-          pr_wall_s = wall;
-          pr_ns_per_cycle = wall /. float_of_int (max 1 cycles) *. 1e9;
-          pr_ngroups = plan.Asim_par.Par.p_ngroups;
-          pr_cut = plan.Asim_par.Par.p_cut;
-          pr_speedup_vs_par1 = 0.0 (* filled below *);
-          pr_scaling_valid = domains <= cores_online;
-        })
-      [ 1; 2; 4; 8 ]
-  in
-  let par1_wall =
-    match runs with r :: _ -> r.pr_wall_s | [] -> infinity
-  in
-  let runs =
-    List.map
-      (fun r ->
-        {
-          r with
-          pr_speedup_vs_par1 =
-            (if r.pr_wall_s > 0.0 then par1_wall /. r.pr_wall_s else 0.0);
-        })
-      runs
-  in
-  let lockstep =
-    let check = min cycles 50 in
-    let mflat = Asim_flat.Flat.create ~config analysis in
-    let mpar = Asim_par.Par.create ~config ~domains:4 analysis in
-    let names =
-      List.map (fun (c : Asim.Component.t) -> c.name) spec.Asim.Spec.components
-    in
-    (try
-       for _ = 1 to check do
-         mflat.Asim.Machine.step ();
-         mpar.Asim.Machine.step ();
-         List.iter
-           (fun n ->
-             if mflat.Asim.Machine.read n <> mpar.Asim.Machine.read n then
-               raise Exit)
-           names
-       done;
-       true
-     with Exit -> false)
-  in
-  {
-    ps_workload = name;
-    ps_components = List.length spec.Asim.Spec.components;
-    ps_cycles = cycles;
-    ps_cores_online = cores_online;
-    ps_compile_span_ms = compile_span_ms;
-    ps_flat_wall_s = flat_wall;
-    ps_par1_overhead_vs_flat =
-      (if flat_wall > 0.0 then par1_wall /. flat_wall else 0.0);
-    ps_lockstep = lockstep;
-    ps_runs = runs;
   }
 
 (* The middle-end ablation: each pass added cumulatively on top of the
@@ -648,7 +509,7 @@ let tinyc_spec () =
   Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image ()
 
 let run ?(cycles = Asim_stackm.Programs.sieve_cycles) ?(reps = 3)
-    ?(check_cycles = 300) ?(par_cycles = 200) () =
+    ?(check_cycles = 300) () =
   with_temp_jit_cache (fun jit_cache_dir ->
       {
         cycles;
@@ -661,30 +522,13 @@ let run ?(cycles = Asim_stackm.Programs.sieve_cycles) ?(reps = 3)
             run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir
               ~name:"tinyc-demo" (tinyc_spec ());
           ];
-        par_scaling =
-          [
-            (* 100 rows x (99 nodes + 1 register): inter-row traffic flows
-               through registers, so a row-aligned partition has no
-               cross-partition combinational edges — the engine's best case *)
-            bench_par_scaling ~reps ~name:"genspec-mesh-10k"
-              (Asim_fuzz.Gen.mesh ~cycles:par_cycles ~width:99 ~height:100
-                 ~seed:1 ());
-            (* 100 cores x 100 stages with combinational cross-core edges:
-               partition boundaries cost sync groups, the engine's hard
-               case *)
-            bench_par_scaling ~reps ~name:"genspec-pipeline-10k"
-              (Asim_fuzz.Gen.pipeline ~cycles:par_cycles ~cores:100 ~depth:99
-                 ~seed:1 ());
-          ];
         opt_ablation =
           [
             bench_opt_ablation ~reps ~jit_cache_dir ~name:"genspec-mesh-10k"
-              (Asim_fuzz.Gen.mesh ~cycles:par_cycles ~width:99 ~height:100
-                 ~seed:1 ());
+              (Asim_fuzz.Gen.mesh ~width:99 ~height:100 ~seed:1 ());
             bench_opt_ablation ~reps ~jit_cache_dir
               ~name:"genspec-pipeline-10k"
-              (Asim_fuzz.Gen.pipeline ~cycles:par_cycles ~cores:100 ~depth:99
-                 ~seed:1 ());
+              (Asim_fuzz.Gen.pipeline ~cores:100 ~depth:99 ~seed:1 ());
           ];
         frontend = bench_frontend ~reps:(max 3 reps);
       })
@@ -738,7 +582,6 @@ let tiered_vs_best w =
 
 let agree t =
   List.for_all (fun w -> w.agreement = None) t.workloads
-  && List.for_all (fun p -> p.ps_lockstep) t.par_scaling
   && List.for_all (fun o -> o.oa_lockstep) t.opt_ablation
 
 let opt_ratio_str w a b =
@@ -804,38 +647,6 @@ let table t =
       | Some d -> pr "  differential check FAILED: %s\n" d);
       pr "\n")
     t.workloads;
-  List.iter
-    (fun p ->
-      pr
-        "par scaling %s: %d components, %d cycles, %d core%s online, flat \
-         compile %.1f ms\n"
-        p.ps_workload p.ps_components p.ps_cycles p.ps_cores_online
-        (if p.ps_cores_online = 1 then "" else "s")
-        p.ps_compile_span_ms;
-      pr "  %-10s %12s %12s %12s %10s %8s %8s\n" "engine" "wall (s)" "ns/cycle"
-        "vs par@1" "scaling?" "groups" "cut";
-      pr "  %-10s %12.4f %12.0f %12s %10s %8s %8s\n" "flat" p.ps_flat_wall_s
-        (p.ps_flat_wall_s /. float_of_int (max 1 p.ps_cycles) *. 1e9)
-        "-" "-" "-" "-";
-      List.iter
-        (fun r ->
-          pr "  %-10s %12.4f %12.0f %11.2fx %10s %8d %8d\n"
-            (Printf.sprintf "par@%d" r.pr_domains)
-            r.pr_wall_s r.pr_ns_per_cycle r.pr_speedup_vs_par1
-            (if r.pr_scaling_valid then "valid" else "INVALID")
-            r.pr_ngroups r.pr_cut)
-        p.ps_runs;
-      pr "  par@1 overhead vs flat: %.2fx (recorded even when >1.0)\n"
-        p.ps_par1_overhead_vs_flat;
-      pr "  lockstep with flat (par@4, %d cycles): %s\n"
-        (min p.ps_cycles 50)
-        (if p.ps_lockstep then "yes" else "NO — DIVERGED");
-      if p.ps_cores_online = 1 then
-        pr
-          "  note: one core online — every multi-domain row is time-sliced, \
-           so the speedup column is tagged invalid rather than claimed\n";
-      pr "\n")
-    t.par_scaling;
   List.iter
     (fun o ->
       pr
@@ -918,8 +729,6 @@ let engine_json w (e : engine_run) =
         | None -> Json.Null );
       ( "compiler",
         match e.compiler with Some c -> Json.String c | None -> Json.Null );
-      ( "domains",
-        match e.domains with Some d -> Json.Int d | None -> Json.Null );
     ]
 
 let workload_json w =
@@ -956,34 +765,6 @@ let workload_json w =
       ("agree", Json.Bool (w.agreement = None));
       ( "divergence",
         match w.agreement with Some d -> Json.String d | None -> Json.Null );
-    ]
-
-let par_run_json (r : par_run) =
-  Json.Obj
-    [
-      ("domains", Json.Int r.pr_domains);
-      ("build_s", Json.Float r.pr_build_s);
-      ("wall_s", Json.Float r.pr_wall_s);
-      ("ns_per_cycle", Json.Float r.pr_ns_per_cycle);
-      ("sync_groups", Json.Int r.pr_ngroups);
-      ("cut_edges", Json.Int r.pr_cut);
-      ("speedup_vs_par1", Json.Float r.pr_speedup_vs_par1);
-      ("scaling_valid", Json.Bool r.pr_scaling_valid);
-    ]
-
-let par_scaling_json (p : par_scaling) =
-  Json.Obj
-    [
-      ("workload", Json.String p.ps_workload);
-      ("engine", Json.String "par");
-      ("components", Json.Int p.ps_components);
-      ("cycles", Json.Int p.ps_cycles);
-      ("cores_online", Json.Int p.ps_cores_online);
-      ("flat_compile_span_ms", Json.Float p.ps_compile_span_ms);
-      ("flat_wall_s", Json.Float p.ps_flat_wall_s);
-      ("par1_overhead_vs_flat", Json.Float p.ps_par1_overhead_vs_flat);
-      ("lockstep_with_flat", Json.Bool p.ps_lockstep);
-      ("runs", Json.List (List.map par_run_json p.ps_runs));
     ]
 
 let opt_step_json (s : opt_step) =
@@ -1047,7 +828,6 @@ let to_json t =
       ("reps", Json.Int t.reps);
       ("cores_online", Json.Int t.cores_online);
       ("workloads", Json.List (List.map workload_json t.workloads));
-      ("par_scaling", Json.List (List.map par_scaling_json t.par_scaling));
       ("opt_ablation", Json.List (List.map opt_ablation_json t.opt_ablation));
       ("frontend", frontend_json t.frontend);
       ( "paper",

@@ -24,9 +24,9 @@
     the artifact the native row compiled, so the machine swaps at cycle 0
     — the steady state the content-addressed cache buys across runs.
 
-    Besides the engines, it records the partitioned engine's scaling
-    curve, the middle-end's per-pass ablation, and the front end's
-    per-stage times at 1k/10k/100k components ({!frontend}). *)
+    Besides the engines, it records the middle-end's per-pass ablation
+    and the front end's per-stage times at 1k/10k/100k components
+    ({!frontend}). *)
 
 type engine_run = {
   engine : string;  (** oracle engine name, e.g. ["flat"] *)
@@ -36,9 +36,6 @@ type engine_run = {
   compiler : string option;
       (** the toolchain that produced the engine's code — the probed
           compiler and its version for ["native"], [None] otherwise *)
-  domains : int option;
-      (** domain count for the ["par"] row (its default — ASIM_PAR_DOMAINS,
-          else the core count), [None] for single-domain engines *)
 }
 
 type profiling = {
@@ -76,40 +73,6 @@ type workload = {
       (** flat-kernel counters-on-vs-off overhead (its own cycle budget,
           min of at least 3 reps a side) plus the counters-off
           zero-allocation witness *)
-}
-
-(** One row of the partitioned engine's scaling curve. *)
-type par_run = {
-  pr_domains : int;
-  pr_build_s : float;
-  pr_wall_s : float;
-  pr_ns_per_cycle : float;
-  pr_ngroups : int;  (** barriers per cycle under this partitioning *)
-  pr_cut : int;  (** cross-partition combinational edges *)
-  pr_speedup_vs_par1 : float;
-  pr_scaling_valid : bool;
-      (** false when the host has fewer cores than this row has domains —
-          the timing then measures the OS time-slicing domains, not the
-          algorithm, and must not be read as a speedup *)
-}
-
-(** The partitioned engine's figure: flat baseline plus par at 1/2/4/8
-    domains over a generated 10k-component spec, with the par@1-vs-flat
-    overhead ablation (recorded even when unfavourable), the
-    [codegen.flat.compile] span for the spec, and a short flat-vs-par@4
-    lockstep check as the correctness witness. *)
-type par_scaling = {
-  ps_workload : string;
-  ps_components : int;
-  ps_cycles : int;
-  ps_cores_online : int;  (** [Domain.recommended_domain_count ()] *)
-  ps_compile_span_ms : float;
-      (** duration of the flat compiler's [codegen.flat.compile] span on
-          this spec *)
-  ps_flat_wall_s : float;
-  ps_par1_overhead_vs_flat : float;  (** par@1 wall / flat wall *)
-  ps_lockstep : bool;
-  ps_runs : par_run list;
 }
 
 (** One cumulative step of the middle-end ablation. *)
@@ -169,19 +132,17 @@ type t = {
   reps : int;
   cores_online : int;
   workloads : workload list;
-  par_scaling : par_scaling list;
   opt_ablation : opt_ablation list;
   frontend : frontend;
 }
 
-val run :
-  ?cycles:int -> ?reps:int -> ?check_cycles:int -> ?par_cycles:int -> unit -> t
+val run : ?cycles:int -> ?reps:int -> ?check_cycles:int -> unit -> t
 (** Run the harness.  [cycles] is the per-run budget (default: the sieve's
     5545 — both workloads park in halt spins, so any budget is safe);
     [reps] timed repetitions per engine, best kept (default 3);
-    [check_cycles] the differential-oracle budget (default 300);
-    [par_cycles] the budget for the 10k-component par-scaling workloads
-    (default 200 — each cycle there is ~250x a sieve cycle). *)
+    [check_cycles] the differential-oracle budget (default 300).  The
+    10k-component opt-ablation workloads run their generated specs' own
+    200 cycles. *)
 
 val ratio : workload -> string -> string -> float option
 (** [ratio w a b] is [wall(a) /. wall(b)] — how many times faster engine
@@ -203,9 +164,8 @@ val tiered_vs_best : workload -> float option
     with 0.95 the accepted floor. *)
 
 val agree : t -> bool
-(** All workloads passed the differential check, every par-scaling
-    workload stayed in lockstep with flat, and every opt-ablation workload
-    stayed in lockstep across [-O0]/[-O2]. *)
+(** All workloads passed the differential check and every opt-ablation
+    workload stayed in lockstep across [-O0]/[-O2]. *)
 
 val table : t -> string
 (** Human-readable report, one block per workload. *)

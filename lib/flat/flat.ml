@@ -248,6 +248,8 @@ let emit_selector e ids refs comp_id ({ select; cases } : Component.selector) =
 
 (* --- compiled program --------------------------------------------------- *)
 
+(* One memory's compiled form: entry pcs for the latched address / operation
+   / data expressions, plus its window into the shared cell array. *)
 type mem_desc = {
   m_id : int;  (** slot of the registered output *)
   m_name : string;
@@ -259,6 +261,10 @@ type mem_desc = {
   m_init : int array option;
 }
 
+(* A compiled flat program: the instruction stream plus every index needed
+   to drive it — block entries by evaluation position, output slots, memory
+   descriptors, and the inverted dependency table used for activity
+   wake-ups. *)
 type program = {
   p_code : int array;
   p_names : string array;  (** by component slot *)
@@ -274,7 +280,14 @@ type program = {
   p_dep_len : int array;  (** by producer slot *)
 }
 
-let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
+(* The must-fail plant for the activity scheduler: with ASIM_FLAT_SKEW=1 the
+   first memory whose output has combinational dependents wakes none of them
+   — a lost update, so its consumers keep evaluating stale inputs.  Read once
+   per compile; [Full] scheduling never reads the wake-up lists, so it is
+   immune by construction. *)
+let skew_env = "ASIM_FLAT_SKEW"
+
+let compile ?(tracer = Asim_obs.Tracer.null)
     (analysis : Asim_analysis.Analysis.t) =
   let spec = analysis.Asim_analysis.Analysis.spec in
   let components = spec.Spec.components in
@@ -283,31 +296,13 @@ let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
     ~args:[ ("components", string_of_int ncomp) ]
     "codegen.flat.compile"
   @@ fun () ->
-  (* [slots] overrides the name → state-slot assignment (default:
-     declaration order) and [comb_order] the combinational evaluation order
-     (default: the analysis's topological order).  The partitioned engine
-     uses both to lay each partition's slots and code out contiguously; a
-     custom order must still be a valid dependency order, and a custom slot
-     table must be a bijection onto [0 .. ncomp-1]. *)
-  let ids =
-    match slots with
-    | Some ids -> ids
-    | None ->
-        let ids = Hashtbl.create (max 16 ncomp) in
-        List.iteri
-          (fun i (c : Component.t) -> Hashtbl.replace ids c.name i)
-          components;
-        ids
-  in
+  let ids = Hashtbl.create (max 16 ncomp) in
+  List.iteri (fun i (c : Component.t) -> Hashtbl.replace ids c.name i) components;
   let names = Array.make (max 1 ncomp) "" in
   List.iter
     (fun (c : Component.t) -> names.(component_id ids c.name) <- c.name)
     components;
-  let order =
-    match comb_order with
-    | Some order -> order
-    | None -> analysis.Asim_analysis.Analysis.order
-  in
+  let order = analysis.Asim_analysis.Analysis.order in
   let ncomb = List.length order in
   let comb_entry = Array.make ncomb 0 in
   let comb_id = Array.make ncomb 0 in
@@ -375,6 +370,10 @@ let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
           incr cursor)
         l)
     dependents;
+  (if Sys.getenv_opt skew_env = Some "1" then
+     match Array.find_opt (fun m -> dep_len.(m.m_id) > 0) mems with
+     | Some m -> dep_len.(m.m_id) <- 0
+     | None -> ());
   {
     p_code = Array.sub e.buf 0 e.len;
     p_names = names;
@@ -393,8 +392,8 @@ let program_size analysis = Array.length (compile analysis).p_code
 (* --- the evaluator ------------------------------------------------------ *)
 
 (* The kernel: all-int state threaded through tail calls, no allocation.
-   Shared by the flat machine below and by every domain of the partitioned
-   engine ([Asim_par]), each over its own [vals] array. *)
+   [exec pc acc tmp tmp2] runs the block starting at [pc] and returns the
+   computed value; [cycle] is read only to report a selector-range error. *)
 let make_exec (p : program) ~(vals : int array) ~(cycle : int ref) =
   let code = p.p_code and names = p.p_names in
   let rec exec pc acc tmp tmp2 =

@@ -25,6 +25,11 @@
     faults keep firing.  [~schedule:Full] re-evaluates everything every
     cycle — the ablation baseline for the benchmark harness.
 
+    {b Must-fail plant.}  With [ASIM_FLAT_SKEW=1] in the environment when
+    the program is compiled, the first memory whose output feeds
+    combinational logic wakes none of its readers — a lost update the
+    differential oracle must catch.  [Full] scheduling is immune.
+
     The result is observationally identical to [Asim_interp] and
     [Asim_compile] (the differential-fuzz oracle enforces this): same
     per-cycle outputs, traces, I/O events, statistics, runtime errors and
@@ -100,68 +105,6 @@ val create_exposed :
     cycle, and the latched address/op temporaries never cross a boundary —
     which is what makes the tiered engine's pointer-exchange handoff
     sound. *)
-
-(** {1 Compiled-program internals}
-
-    Exposed for the partitioned BSP engine ([Asim_par]), which compiles its
-    own flat program with a partition-major slot layout and runs each
-    partition's block range with its own {!make_exec} instance. *)
-
-(** One memory's compiled form: entry pcs for the latched address /
-    operation / data expressions, plus its window into the shared cell
-    array. *)
-type mem_desc = {
-  m_id : int;  (** slot of the registered output *)
-  m_name : string;
-  m_addr_pc : int;
-  m_op_pc : int;
-  m_data_pc : int;
-  m_off : int;  (** offset into the shared cell array *)
-  m_len : int;  (** number of cells *)
-  m_init : int array option;
-}
-
-(** A compiled flat program: the instruction stream plus every index needed
-    to drive it (block entries by evaluation position, output slots, memory
-    descriptors, and the inverted dependency table used for activity
-    wake-ups). *)
-type program = {
-  p_code : int array;
-  p_names : string array;  (** by component slot *)
-  p_ids : (string, int) Hashtbl.t;
-  p_comb_entry : int array;  (** block entry pc, by evaluation-order position *)
-  p_comb_id : int array;  (** output slot, by evaluation-order position *)
-  p_mems : mem_desc array;  (** in declaration order *)
-  p_cells_len : int;
-  p_deps : int array;
-      (** concatenated dependent positions: the evaluation-order positions of
-          every combinational component reading a given slot *)
-  p_dep_off : int array;  (** by producer slot *)
-  p_dep_len : int array;  (** by producer slot *)
-}
-
-val compile :
-  ?tracer:Asim_obs.Tracer.t ->
-  ?slots:(string, int) Hashtbl.t ->
-  ?comb_order:Asim_core.Component.t list ->
-  Asim_analysis.Analysis.t ->
-  program
-(** Emit the flat program.  [slots] overrides the name → state-slot
-    assignment (default: declaration order) and [comb_order] the
-    combinational evaluation order (default: the analysis's topological
-    order); a custom order must still be a valid dependency order and a
-    custom slot table a bijection onto [0 .. ncomp-1].  When [tracer] is
-    active the emission is wrapped in a [codegen.flat.compile] span tagged
-    with the component count. *)
-
-val make_exec :
-  program -> vals:int array -> cycle:int ref -> int -> int -> int -> int -> int
-(** [make_exec p ~vals ~cycle] is the evaluator for [p] over the state
-    array [vals]: [exec pc acc tmp tmp2] runs the block starting at [pc]
-    and returns the computed value.  Call as [exec entry 0 0 0].  [cycle]
-    is read only to report a selector-range {!Asim_core.Error.Error}.
-    Allocation-free; distinct instances over distinct [vals] arrays may run
-    in parallel (the program itself is only read). *)
 
 val program_size : Asim_analysis.Analysis.t -> int
 (** Number of instruction words the flat program for this spec occupies —

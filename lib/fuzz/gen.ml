@@ -153,8 +153,8 @@ let spec size st =
 
 (* The structured generators below scale the same width/range discipline as
    the random generator (narrow fields, field-narrowed selects, constant
-   memory ops) up to 1k-100k components, arranged so the component graph has
-   a shape a partitioner can exploit.  Names are letters+digits only, as
+   memory ops) up to 1k-100k components, arranged as replicated chains with
+   a known coupling shape.  Names are letters+digits only, as
    [Spec.validate] requires. *)
 
 let struct_field st name =
@@ -165,8 +165,8 @@ let struct_field st name =
 (* Replica-crossing reads take the low bits: the values flowing through a
    generated design are a few bits wide, so a random high-bit field of a
    neighbouring replica is too often constant zero — a cross edge the
-   dependency graph sees but no observable ever feels, which would let the
-   planted ASIM_PAR_SKEW lost update slip past the oracle. *)
+   dependency graph sees but no observable ever feels, which would let a
+   lost wake-up (the planted ASIM_FLAT_SKEW) slip past the oracle. *)
 let struct_low_field st name = Expr.ref_range name 0 (range st 1 4 - 1)
 
 let struct_const st = Expr.num_w (upto st 15) ~width:(range st 1 4)
@@ -176,8 +176,8 @@ let struct_const st = Expr.num_w (upto st 15) ~width:(range st 1 4)
 let right_sensitive_fns = [| 4 (* add *); 5 (* sub *); 9 (* or *); 10 (* xor *) |]
 
 (* A combinational stage reading [prev] (its upstream neighbour, possibly a
-   memory) and optionally [cross] (a component in another replica, creating
-   deliberate cross-partition traffic).  Roughly one stage in ten is a
+   memory) and optionally [cross] (a component in another replica, coupling
+   the replicas combinationally).  Roughly one stage in ten is a
    selector, keyed on two bits of [prev] with exactly four cases so the
    select can never leave range. *)
 let struct_stage st ~prev ~cross name =
@@ -234,9 +234,9 @@ let pipeline ?(cycles = 200) ~cores ~depth ~seed () =
   let reg_name r = Printf.sprintf "g%dm" r in
   (* Core [r]: stages s0 .. s(depth-1) in a chain fed from the core's
      register, each stage past the first also tapping the matching stage of
-     core [r-1] — so replicas are *not* independent and a partitioner must
-     either co-locate neighbouring cores or pay mailbox traffic.  The
-     register latches the last stage, closing the cycle through state. *)
+     core [r-1] — so replicas are *not* independent: a change fans out
+     across cores within the cycle.  The register latches the last stage,
+     closing the cycle through state. *)
   let core r =
     let stages =
       List.init depth (fun s ->
@@ -262,9 +262,8 @@ let mesh ?(cycles = 200) ~width ~height ~seed () =
   let reg_name y = Printf.sprintf "r%dm" y in
   (* Row [y]: a west-to-east combinational chain seeded from the row's
      register, every node also reading the *previous* row's register — all
-     inter-row traffic flows through state, so a row-aligned partitioning
-     has zero cross-partition combinational edges (the per-cycle-barrier
-     best case). *)
+     inter-row traffic flows through state, so rows share no combinational
+     edges. *)
   let row y =
     let nodes =
       List.init w (fun x ->

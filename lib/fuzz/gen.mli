@@ -40,8 +40,9 @@ val spec : size -> Random.State.t -> Asim_core.Spec.t
 (** {1 Structured workloads}
 
     Deterministic generators of {e large} well-formed specs (1k-100k
-    components) with partitionable structure, behind [asim genspec] and the
-    partitioned engine's benchmarks.  They obey the same safety discipline
+    components) with a known coupling shape, behind [asim genspec]: they
+    exercise the front end and the flat kernel at scale and feed the
+    rtlbench workloads.  They obey the same safety discipline
     as the random generator (narrow fields, field-narrowed selects,
     constant plain-write memory ops), so the specs are analyzable, run
     without spurious range errors, and pretty-print/parse round-trip.
@@ -54,17 +55,15 @@ val pipeline :
 (** [cores] replicated pipelines of [depth] combinational stages, each core
     closed through a single-cell register.  Stage [s] of core [r] reads
     stage [s-1] of its own core and (for [r > 0], [s > 0]) stage [s] of
-    core [r-1] — neighbouring replicas are coupled, so partitioners must
-    co-locate neighbours or pay cross-partition traffic.
+    core [r-1] — neighbouring replicas are coupled combinationally.
     [cores * (depth + 1)] components. *)
 
 val mesh :
   ?cycles:int -> width:int -> height:int -> seed:int -> unit -> Asim_core.Spec.t
 (** A [width * height] grid: each row is a west-to-east combinational chain
     seeded from a per-row register, and rows communicate only through the
-    previous row's register — a row-aligned partitioning has zero
-    cross-partition combinational edges.  [height * (width + 1)]
-    components. *)
+    previous row's register — rows share no combinational edges.
+    [height * (width + 1)] components. *)
 
 val spec_at : size -> seed:int -> index:int -> Asim_core.Spec.t
 (** The [index]-th spec of the campaign seeded with [seed]: each index gets

@@ -8,7 +8,6 @@ type engine =
   | Lowered
   | Flat
   | FlatFull
-  | Par
   | Native
   | Tiered
   | Buggy
@@ -17,7 +16,7 @@ type engine =
    observation has already populated the in-process plugin memo: the tiered
    machine then swaps at cycle 0 without spawning a compile domain. *)
 let all =
-  [ Interp; Compiled; Unoptimized; Lowered; Flat; FlatFull; Par; Native; Tiered ]
+  [ Interp; Compiled; Unoptimized; Lowered; Flat; FlatFull; Native; Tiered ]
 
 (* [Native] shells out to the host toolchain; a campaign on a box without one
    should drop the engine (with a warning) rather than abort.  [Tiered] is
@@ -30,7 +29,7 @@ let available = function Native -> Asim_jit.Jit.available () | _ -> true
    a middle-end miscompile shows up as a divergence instead of agreeing with
    itself on both sides. *)
 let optimized_class = function
-  | Flat | FlatFull | Par | Native | Tiered -> true
+  | Flat | FlatFull | Native | Tiered -> true
   | Interp | Compiled | Unoptimized | Lowered | Buggy -> false
 
 let engine_to_string = function
@@ -40,7 +39,6 @@ let engine_to_string = function
   | Lowered -> "lowered"
   | Flat -> "flat"
   | FlatFull -> "flat-full"
-  | Par -> "par"
   | Native -> "native"
   | Tiered -> "tiered"
   | Buggy -> "buggy"
@@ -53,7 +51,6 @@ let engine_of_string s =
   | "lowered" | "lower" | "ir" -> Some Lowered
   | "flat" -> Some Flat
   | "flat-full" | "flat_full" | "flatfull" -> Some FlatFull
-  | "par" | "bsp" | "partitioned" -> Some Par
   | "native" | "jit" -> Some Native
   | "tiered" | "tier" -> Some Tiered
   | "buggy" -> Some Buggy
@@ -78,12 +75,6 @@ let build engine ~config (analysis : Asim_analysis.Analysis.t) =
   | Lowered -> Loweval.create ~config analysis
   | Flat -> Asim_flat.Flat.create ~config ~schedule:Asim_flat.Flat.Activity analysis
   | FlatFull -> Asim_flat.Flat.create ~config ~schedule:Asim_flat.Flat.Full analysis
-  | Par ->
-      (* Domain count from ASIM_PAR_DOMAINS (else the core count) — the CI
-         smoke pins 4 so the BSP path is exercised even on small boxes, and
-         ASIM_PAR_SKEW=1 must make this engine diverge (a must-fail check,
-         like the tiered engine's swap skew). *)
-      Asim_par.Par.create ~config analysis
   | Native -> Asim_jit.Jit.create ~config analysis
   | Tiered ->
       (* The swap policy comes from ASIM_TIERED_SWAP_AT when set (how the

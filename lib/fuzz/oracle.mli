@@ -13,11 +13,6 @@ type engine =
   | Lowered  (** the codegen lowering executed directly ({!Loweval}) *)
   | Flat  (** the flat-kernel engine, activity scheduling on *)
   | FlatFull  (** the flat-kernel engine, full re-evaluation (ablation) *)
-  | Par
-      (** the partitioned engine ([Asim_par.Par]): the flat kernel split
-          across domains and run bulk-synchronously; domain count from
-          [ASIM_PAR_DOMAINS], and [ASIM_PAR_SKEW=1] plants a lost update
-          this oracle must catch *)
   | Native
       (** the native-compiled engine ([Asim_jit.Jit]): spec lowered to an
           OCaml module, compiled by the host toolchain and Dynlinked in *)
@@ -32,9 +27,8 @@ type engine =
           exercising the oracle and shrinker end to end *)
 
 val all : engine list
-(** The nine honest engines: [Interp] (the reference), [Compiled],
-    [Unoptimized], [Lowered], [Flat], [FlatFull], [Par], [Native],
-    [Tiered]. *)
+(** The eight honest engines: [Interp] (the reference), [Compiled],
+    [Unoptimized], [Lowered], [Flat], [FlatFull], [Native], [Tiered]. *)
 
 val available : engine -> bool
 (** Whether the engine can run here at all.  Only [Native] can be
@@ -75,7 +69,7 @@ val observe :
 (** Run [spec] on one engine for [cycles] (default: the spec's [= N]
     directive, else 20), recording all observables.  A runtime error stops
     the run and is recorded, not raised.  With [opt] above [O0] the
-    optimized-class engines (flat, flat-full, par, native, tiered) consume
+    optimized-class engines (flat, flat-full, native, tiered) consume
     the [Asim_opt.Opt.run] rewrite while the reference class (interp,
     compiled, unoptimized, lowered, buggy) stays on the raw spec — a
     middle-end miscompile therefore surfaces as a divergence.  Components

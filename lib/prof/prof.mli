@@ -4,9 +4,7 @@
     watches the simulated design: which ALUs/selectors actually evaluate,
     which dirty bits never fire, where the memory traffic goes, and — via a
     sampled cycle profiler — where the wall time of a cycle is spent across
-    the topological levels of the combinational network.  The measured
-    eval counts double as the per-component cost model that a static
-    partitioner (GSIM-style, see ROADMAP) consumes.
+    the topological levels of the combinational network.
 
     A profile is wired into an engine at construction time
     ([Asim.machine ~prof]); with no profile the engines build exactly the
@@ -111,14 +109,6 @@ val rows : ?source:string -> t -> row list
 val hot : ?top:int -> ?source:string -> t -> row list
 (** Rows sorted by descending [r_cost] (ties by slot), truncated to [top]
     (default 10). *)
-
-val cost_model : t -> (string * float) list
-(** The measured per-combinational-component cost model
-    ([evals x max 1 words], memories excluded) in the shape the partitioned
-    engine's balancer consumes ([Asim.machine ~par_costs], [asim run
-    --par-profile]): profile a spec under the flat engine once, then feed
-    the result back so partition loads reflect observed activity instead of
-    static program size. *)
 
 val report : ?top:int -> ?source:string -> t -> string
 (** Human-readable profile: run header, top-N hot components, sampled

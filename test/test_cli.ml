@@ -722,11 +722,11 @@ let test_tiered_no_toolchain () =
           Alcotest.(check (option string)) "stays on flat" (Some "flat")
             (stats_field stats "executing_engine")))
 
-(* --- the partitioned engine and its workload generator ---------------------- *)
+(* --- the workload generator ------------------------------------------------ *)
 
 (* `asim genspec` is byte-deterministic for a fixed seed, reports its shape,
-   and its output runs under `-e par` in lockstep with the flat engine (the
-   CLI face of the library-level tests in test_par.ml). *)
+   and its output runs identically on the flat kernel and the closure
+   compiler (the CLI face of test_engines' genspec cases). *)
 let test_genspec_deterministic () =
   let gen () = run_cli "genspec -k pipeline --cores 6 --depth 4 --seed 9" in
   let code_a, a = gen () in
@@ -740,7 +740,7 @@ let test_genspec_deterministic () =
   Alcotest.(check int) "cores*(depth+1) components" 30
     (List.length spec.Asim.Spec.components)
 
-let test_genspec_runs_under_par () =
+let test_genspec_flat_compiled () =
   in_temp ".asim" (fun path ->
       let code, text =
         run_cli
@@ -749,31 +749,25 @@ let test_genspec_runs_under_par () =
       in
       if code <> 0 then Alcotest.failf "genspec failed: %s" text;
       Alcotest.(check bool) "reports the size" true (contains text "24 components");
-      let _, flat = run_cli (Printf.sprintf "run %s -e flat" (Filename.quote path)) in
-      let code, par =
-        run_cli (Printf.sprintf "run %s -e par --domains 3" (Filename.quote path))
+      let code, flat = run_cli (Printf.sprintf "run %s -e flat" (Filename.quote path)) in
+      Alcotest.(check int) "flat exit" 0 code;
+      let code, compiled =
+        run_cli (Printf.sprintf "run %s -e compiled" (Filename.quote path))
       in
-      Alcotest.(check int) "par exit" 0 code;
-      Alcotest.(check string) "par trace identical to flat" flat par)
+      Alcotest.(check int) "compiled exit" 0 code;
+      Alcotest.(check bool) "trace is not empty" true (contains flat "Cycle");
+      Alcotest.(check string) "flat trace identical to compiled" compiled flat)
 
-(* The measured-cost loop: `profile --json` output feeds back through
-   `run -e par --par-profile` and must not change observable behavior. *)
-let test_par_profile_roundtrip () =
+(* A retired engine name is an error that names the engines that exist. *)
+let test_run_unknown_engine () =
   with_spec counter (fun path ->
-      in_temp ".json" (fun prof ->
-          let code, text =
-            run_cli (Printf.sprintf "profile %s --json" (Filename.quote path))
-          in
-          if code <> 0 then Alcotest.failf "profile failed: %s" text;
-          write_file prof text;
-          let _, flat = run_cli (Printf.sprintf "run %s -e flat" (Filename.quote path)) in
-          let code, par =
-            run_cli
-              (Printf.sprintf "run %s -e par --par-profile %s" (Filename.quote path)
-                 (Filename.quote prof))
-          in
-          Alcotest.(check int) "par exit" 0 code;
-          Alcotest.(check string) "costed par trace identical to flat" flat par))
+      let code, text = run_cli (Printf.sprintf "run %s -e par" (Filename.quote path)) in
+      Alcotest.(check bool) "run -e par fails" true (code <> 0);
+      Alcotest.(check bool) "names the bad engine" true (contains text "unknown engine par");
+      List.iter
+        (fun e ->
+          Alcotest.(check bool) ("names " ^ e) true (contains text e))
+        [ "interp"; "compiled"; "flat"; "native"; "tiered" ])
 
 let test_errors () =
   let code, _ = run_cli "run /nonexistent/file.asim" in
@@ -832,10 +826,9 @@ let () =
           Alcotest.test_case "tiered without a toolchain" `Quick
             test_tiered_no_toolchain;
           Alcotest.test_case "genspec deterministic" `Quick test_genspec_deterministic;
-          Alcotest.test_case "genspec runs under par" `Quick
-            test_genspec_runs_under_par;
-          Alcotest.test_case "par profile round-trip" `Quick
-            test_par_profile_roundtrip;
+          Alcotest.test_case "genspec flat and compiled agree" `Quick
+            test_genspec_flat_compiled;
+          Alcotest.test_case "run unknown engine" `Quick test_run_unknown_engine;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );
     ]

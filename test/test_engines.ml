@@ -4,7 +4,9 @@
    from the fuzz oracle (Asim_fuzz.Oracle.all), so any engine added to the
    differential-fuzzing set automatically inherits these semantic tests —
    including the lowered-IR evaluator that stands in for the generated
-   simulators. *)
+   simulators.  The genspec group pins the structured workload generator
+   behind `asim genspec` and the benchmarks: deterministic per seed, the
+   documented shape, and small instances agree across engines. *)
 
 open Asim
 
@@ -288,6 +290,47 @@ let test_write_cell () =
   Alcotest.(check int) "poked value streamed out" 55 (m.Machine.read "r");
   Alcotest.(check int) "read_cell sees it too" 55 (m.Machine.read_cell "r" 2)
 
+(* --- the structured workload generator ------------------------------------ *)
+
+module Gen = Asim_fuzz.Gen
+
+let test_genspec_deterministic () =
+  let p seed = Pretty.spec (Gen.pipeline ~cores:4 ~depth:3 ~seed ()) in
+  let m seed = Pretty.spec (Gen.mesh ~width:4 ~height:3 ~seed ()) in
+  Alcotest.(check string) "pipeline regenerates identically" (p 7) (p 7);
+  Alcotest.(check string) "mesh regenerates identically" (m 7) (m 7);
+  Alcotest.(check bool) "pipeline seeds differ" true (p 7 <> p 8);
+  Alcotest.(check bool) "mesh seeds differ" true (m 7 <> m 8)
+
+let test_genspec_shape () =
+  let spec = Gen.pipeline ~cores:5 ~depth:4 ~seed:2 () in
+  Alcotest.(check int) "cores*(depth+1) components" 25
+    (List.length spec.Spec.components);
+  let mesh = Gen.mesh ~width:6 ~height:3 ~seed:2 () in
+  Alcotest.(check int) "height*(width+1) components" 21
+    (List.length mesh.Spec.components);
+  (* both round-trip through the concrete syntax *)
+  List.iter
+    (fun s ->
+      if Parser.parse_string (Pretty.spec s) <> s then
+        Alcotest.fail "genspec spec does not print/parse round-trip")
+    [ spec; mesh ]
+
+let test_genspec_passes_oracle () =
+  List.iter
+    (fun spec ->
+      match
+        Asim_fuzz.Oracle.check ~cycles:30
+          ~engines:Asim_fuzz.Oracle.[ Interp; Compiled; Flat; FlatFull ]
+          spec
+      with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s" (Asim_fuzz.Oracle.divergence_to_string d))
+    [
+      Gen.pipeline ~cores:4 ~depth:3 ~seed:5 ();
+      Gen.mesh ~width:4 ~height:3 ~seed:5 ();
+    ]
+
 let () =
   Alcotest.run "engines"
     [
@@ -320,5 +363,14 @@ let () =
           Alcotest.test_case "stuck-at behaviour" `Quick test_stuck_at_fault_behaviour;
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "write_cell" `Quick test_write_cell;
+        ] );
+      ( "genspec",
+        [
+          Alcotest.test_case "deterministic per seed" `Quick
+            test_genspec_deterministic;
+          Alcotest.test_case "documented shape, round-trips" `Quick
+            test_genspec_shape;
+          Alcotest.test_case "small instances pass the oracle" `Quick
+            test_genspec_passes_oracle;
         ] );
     ]

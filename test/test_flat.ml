@@ -2,7 +2,9 @@
    differential checks against the closure compiler and the interpreter on
    the two big demo machines, activity-scheduling (dirty-bit) behavior on a
    hand-built diamond dependency graph, the zero-per-cycle-allocation
-   guarantee, and the codegen spans.  The generic cross-engine semantics
+   guarantee, the codegen spans, lockstep on the generated pipeline and mesh
+   workloads, and the ASIM_FLAT_SKEW must-fail (a planted lost wake-up the
+   differential oracle must catch).  The generic cross-engine semantics
    matrix lives in test_engines.ml / test_equiv.ml, which iterate over
    [Oracle.all] and so cover the flat engine too. *)
 
@@ -255,6 +257,61 @@ let test_codegen_spans () =
       Alcotest.(check bool) (span ^ " span emitted") true (List.mem span names))
     [ "codegen.flat.layout"; "codegen.flat.emit"; "codegen.flat.wire" ]
 
+(* ------------------------------------------------------------------ *)
+(* Equivalence on the structured genspec workloads                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The generated pipeline and mesh machines have many independent cores
+   feeding each other through memories, so most of the activity
+   scheduler's wake-up edges cross core boundaries. *)
+let test_structured_lockstep () =
+  lockstep "pipeline" (Asim_fuzz.Gen.pipeline ~cores:6 ~depth:4 ~seed:3 ()) ~cycles:50;
+  lockstep "mesh" (Asim_fuzz.Gen.mesh ~width:5 ~height:4 ~seed:3 ()) ~cycles:50
+
+(* ------------------------------------------------------------------ *)
+(* The wake-up skew must-fail                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* ASIM_FLAT_SKEW=1 empties the wake-up list of the first memory whose
+   output feeds combinational logic — the lost update the activity
+   scheduler's dependency table exists to prevent.  The oracle is only
+   trustworthy if that plant visibly diverges; the clean run of the same
+   spec must stay in lockstep, and [Full] scheduling (which never reads
+   the wake-up lists) must be immune. *)
+let skew_env = "ASIM_FLAT_SKEW"
+
+let with_env var value f =
+  let old = Sys.getenv_opt var in
+  Unix.putenv var value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
+    f
+
+let skew_spec = Asim_fuzz.Gen.pipeline ~cores:8 ~depth:6 ~seed:1 ()
+
+let check_skew engine = Oracle.check ~cycles:100 ~engines:[ Oracle.Interp; engine ] skew_spec
+
+let test_skew_diverges () =
+  with_env skew_env "1" (fun () ->
+      if check_skew Oracle.Flat = None then
+        Alcotest.fail "planted lost update was not observable — dead harness")
+
+let test_no_skew_lockstep () =
+  with_env skew_env "" (fun () ->
+      match check_skew Oracle.Flat with
+      | None -> ()
+      | Some d ->
+          Alcotest.failf "flat diverges from interp without skew: %s"
+            (Oracle.divergence_to_string d))
+
+let test_skew_noop_under_full () =
+  with_env skew_env "1" (fun () ->
+      match check_skew Oracle.FlatFull with
+      | None -> ()
+      | Some d ->
+          Alcotest.failf "skew perturbed full scheduling: %s"
+            (Oracle.divergence_to_string d))
+
 let () =
   Alcotest.run "flat"
     [
@@ -285,5 +342,19 @@ let () =
           Alcotest.test_case "program size" `Quick test_program_size;
           Alcotest.test_case "peephole" `Quick test_peephole;
           Alcotest.test_case "spans" `Quick test_codegen_spans;
+        ] );
+      ( "equivalence",
+        [
+          Alcotest.test_case "structured workloads in lockstep" `Quick
+            test_structured_lockstep;
+        ] );
+      ( "skew",
+        [
+          Alcotest.test_case "planted lost update diverges (must-fail)" `Quick
+            test_skew_diverges;
+          Alcotest.test_case "clean run stays in lockstep" `Quick
+            test_no_skew_lockstep;
+          Alcotest.test_case "no-op under full scheduling" `Quick
+            test_skew_noop_under_full;
         ] );
     ]

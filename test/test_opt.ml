@@ -123,7 +123,7 @@ let test_equivalence_examples () =
       List.iter
         (fun passes ->
           check_equiv ~passes ~engine:Asim.FlatKernel spec;
-          check_equiv ~passes ~engine:Asim.Partitioned spec)
+          check_equiv ~passes ~engine:Asim.Compiled spec)
         [ Opt.all_passes; [ Opt.Constprop; Opt.Narrow ] ])
     [ Specs.counter; Specs.traffic_light; Specs.divider ]
 
@@ -133,7 +133,7 @@ let test_structured_specs () =
   List.iter
     (fun spec ->
       check_equiv ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec;
-      check_equiv ~passes:Opt.all_passes ~engine:Asim.Partitioned spec)
+      check_equiv ~passes:Opt.all_passes ~engine:Asim.Compiled spec)
     [ mesh; pipe ]
 
 (* Fault plans force kept (and width-untrusted) components: observables
