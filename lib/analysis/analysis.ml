@@ -12,51 +12,46 @@ type t = {
   warnings : Error.warning list;
 }
 
-(* Name-existence checks resolve through one hash table per pass instead of
-   scanning the component list per reference — [Spec.find] is a linear
-   search, which made these passes quadratic on generated 10k-component
-   specs. *)
-let component_names (spec : Spec.t) =
-  let table = Hashtbl.create (max 16 (List.length spec.components)) in
-  List.iter
-    (fun (c : Component.t) -> Hashtbl.replace table c.name ())
-    spec.components;
-  table
+(* Every name resolves once, through the table [Spec.index] builds while it
+   validates: [refs.(i)] holds component [i]'s references as indices (see
+   [Width.resolve]), negative where nothing defines the name.  Reference
+   checks, ordering and the warnings below all read these. *)
 
-let check_references (spec : Spec.t) =
-  let defined = component_names spec in
-  List.iter
-    (fun (c : Component.t) ->
-      List.iter
-        (fun e ->
-          List.iter
-            (fun name ->
-              if not (Hashtbl.mem defined name) then
-                Error.failf ~component:c.name Error.Analysis
-                  "Component <%s> not found." name)
-            (Expr.names e))
-        (Component.inputs c))
-    spec.components
+(* The [k]-th reference of a component, left to right across its inputs. *)
+let nth_ref (c : Component.t) k =
+  let names =
+    List.concat_map
+      (List.filter_map (function Expr.Ref { name; _ } -> Some name | _ -> None))
+      (Component.inputs c)
+  in
+  List.nth names k
 
-let declaration_warnings (spec : Spec.t) =
-  let defined_names = component_names spec in
-  let defined name = Hashtbl.mem defined_names name in
-  let declared_names = Hashtbl.create (max 16 (List.length spec.decls)) in
-  List.iter
-    (fun (d : Spec.decl) -> Hashtbl.replace declared_names d.name ())
-    spec.decls;
-  let declared name = Hashtbl.mem declared_names name in
+let check_references comps refs =
+  Array.iteri
+    (fun i (c : Component.t) ->
+      Array.iteri
+        (fun k slot ->
+          if slot < 0 then
+            Error.failf ~component:c.name Error.Analysis "Component <%s> not found."
+              (nth_ref c k))
+        refs.(i))
+    comps
+
+let declaration_warnings (spec : Spec.t) index comps =
+  let declared = Array.make (Array.length comps) false in
   let not_defined =
     List.filter_map
       (fun (d : Spec.decl) ->
-        if defined d.name then None else Some (Error.Declared_not_defined d.name))
+        match Spec.Names.find_opt index d.name with
+        | Some i ->
+            declared.(i) <- true;
+            None
+        | None -> Some (Error.Declared_not_defined d.name))
       spec.decls
   in
   let not_declared =
-    List.filter_map
-      (fun (c : Component.t) ->
-        if declared c.name then None else Some (Error.Defined_not_declared c.name))
-      spec.components
+    List.filteri (fun i _ -> not declared.(i)) spec.components
+    |> List.map (fun (c : Component.t) -> Error.Defined_not_declared c.name)
   in
   not_defined @ not_declared
 
@@ -64,33 +59,33 @@ let declaration_warnings (spec : Spec.t) =
    have already latched their new values (§4.3's temporaries are updated in
    declaration order).  Reading such a memory sees this cycle's value, not
    last cycle's — legal, but almost always a surprise. *)
-let update_order_warnings memories =
-  let rec go earlier acc = function
-    | [] -> List.rev acc
-    | (c : Component.t) :: rest ->
-        let acc =
-          match c.kind with
-          | Component.Memory { data; _ } ->
-              List.fold_left
-                (fun acc name ->
-                  if List.mem name earlier then
-                    Error.Memory_update_order
-                      { reader = c.name; written_before = name }
-                    :: acc
-                  else acc)
-                acc (Expr.names data)
-          | Component.Alu _ | Component.Selector _ -> acc
-        in
-        go (c.name :: earlier) acc rest
-  in
-  go [] [] memories
+let update_order_warnings index comps =
+  let warnings = ref [] in
+  Array.iteri
+    (fun i (c : Component.t) ->
+      match c.kind with
+      | Component.Memory { data; _ } ->
+          List.iter
+            (fun name ->
+              let k = Spec.Names.find index name in
+              if k < i && Component.is_memory comps.(k) then
+                warnings :=
+                  Error.Memory_update_order { reader = c.name; written_before = name }
+                  :: !warnings)
+            (Expr.names data)
+      | Component.Alu _ | Component.Selector _ -> ())
+    comps;
+  List.rev !warnings
 
 let analyze spec =
-  Spec.validate spec;
-  check_references spec;
-  let order = Depgraph.order spec in
+  let index = Spec.index spec in
+  let comps = Array.of_list spec.Spec.components in
+  let id name = Option.value (Spec.Names.find_opt index name) ~default:(-1) in
+  let refs = Array.map (Width.resolve ~id) comps in
+  check_references comps refs;
+  let order = Depgraph.order comps refs in
   let memories = List.filter Component.is_memory spec.Spec.components in
-  let warnings = declaration_warnings spec @ update_order_warnings memories in
+  let warnings = declaration_warnings spec index comps @ update_order_warnings index comps in
   { spec; order; memories; warnings }
 
 let trace_condition ~const_test ~min_width (m : Component.memory) =

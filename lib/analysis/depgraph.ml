@@ -18,37 +18,28 @@ let dependencies spec (c : Component.t) =
       end)
     referenced
 
-let order spec =
-  let comb =
-    List.filter (fun c -> not (Component.is_memory c)) spec.Spec.components
-    |> Array.of_list
-  in
-  let n = Array.length comb in
-  let index = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i (c : Component.t) -> Hashtbl.replace index c.name i) comb;
-  (* Combinational-only dependency edges, by declaration index.  The
-     de-duplication mirrors [dependencies] but resolves names through one
-     shared table instead of a per-reference list scan (the former
-     list-based lookup went quadratic on generated 10k-component specs). *)
-  let deps_of i =
-    let seen = Hashtbl.create 8 in
-    List.filter_map
-      (fun name ->
-        if Hashtbl.mem seen name then None
-        else begin
-          Hashtbl.add seen name ();
-          Hashtbl.find_opt index name
-        end)
-      (List.concat_map Expr.names (Component.combinational_inputs comb.(i)))
-  in
-  let dependents = Array.make (max 1 n) [] in
-  let indegree = Array.make (max 1 n) 0 in
+let order comps refs =
+  let n = Array.length comps in
+  let comb i = not (Component.is_memory comps.(i)) in
+  (* Combinational-only dependency edges, each counted once: [seen.(d) = i]
+     once the edge d -> i is in. *)
+  let dependents = Array.make n [] in
+  let indegree = Array.make n 0 in
+  let seen = Array.make n (-1) in
+  let ncomb = ref 0 in
   for i = 0 to n - 1 do
-    List.iter
-      (fun d ->
-        dependents.(d) <- i :: dependents.(d);
-        indegree.(i) <- indegree.(i) + 1)
-      (deps_of i)
+    if comb i then begin
+      incr ncomb;
+      let r = refs.(i) in
+      for k = 0 to Array.length r - 1 do
+        let d = r.(k) in
+        if d >= 0 && seen.(d) <> i && comb d then begin
+          seen.(d) <- i;
+          dependents.(d) <- i :: dependents.(d);
+          indegree.(i) <- indegree.(i) + 1
+        end
+      done
+    end
   done;
   (* Kahn's algorithm in rounds: each round places every ready component in
      declaration order, so the result is deterministic and close to the
@@ -56,7 +47,7 @@ let order spec =
      its quadratic rescans). *)
   let round = ref [] in
   for i = n - 1 downto 0 do
-    if indegree.(i) = 0 then round := i :: !round
+    if comb i && indegree.(i) = 0 then round := i :: !round
   done;
   let placed = ref [] in
   let nplaced = ref 0 in
@@ -64,7 +55,7 @@ let order spec =
     let next = ref [] in
     List.iter
       (fun i ->
-        placed := comb.(i) :: !placed;
+        placed := comps.(i) :: !placed;
         incr nplaced;
         List.iter
           (fun j ->
@@ -72,14 +63,14 @@ let order spec =
             if indegree.(j) = 0 then next := j :: !next)
           dependents.(i))
       !round;
-    round := List.sort compare !next
+    round := List.sort Int.compare !next
   done;
-  if !nplaced < n then begin
+  if !nplaced < !ncomb then begin
     (* Every remaining component is on or behind a cycle; report the first
        two (in declaration order) for a diagnostic in the paper's style. *)
     let blocked = ref [] in
     for i = n - 1 downto 0 do
-      if indegree.(i) > 0 then blocked := comb.(i).Component.name :: !blocked
+      if comb i && indegree.(i) > 0 then blocked := comps.(i).Component.name :: !blocked
     done;
     let names = !blocked in
     let a = List.nth names 0 in

@@ -449,9 +449,10 @@ let bench_opt_ablation ~reps ~jit_cache_dir ~name (spec : Asim.Spec.t) =
 
 (* Both workloads park in halt spins, so any cycle budget is safe. *)
 (* The front end at scale: parse, analyze, -O2 optimize and flat build of
-   generated meshes at 1k/10k/100k components, each stage the min of
-   [reps] timings, with the least-squares slope of log time against log
-   size per stage.  The input text is the mesh's pretty-printed source, the
+   generated meshes at 1k/10k/100k components, each stage the min of at
+   least [reps] timings (more at the small sizes, until a second has been
+   spent on the size), with the least-squares slope of log time against
+   log size per stage.  The input text is the mesh's pretty-printed source, the
    path a spec file takes. *)
 let frontend_stages = [ "parse"; "analyze"; "optimize"; "flat_build" ]
 
@@ -472,18 +473,23 @@ let bench_frontend ~reps =
       (List.length spec.Asim.Spec.components, Asim.Pretty.spec spec)
     in
     let best = Array.make (List.length frontend_stages) infinity in
-    for _ = 1 to reps do
+    (* Each stage starts on a collected heap, so it does not pay for the
+       previous stage's garbage. *)
+    let stage k f =
       Gc.compact ();
-      let spec, parse = time (fun () -> Asim.Parser.parse_string text) in
-      let analysis, analyze = time (fun () -> Asim.Analysis.analyze spec) in
-      let r, optimize = time (fun () -> Asim.Opt.run_result ~level:Asim.Opt.O2 analysis) in
-      let _, build =
-        time (fun () ->
-            Asim_flat.Flat.create ~config:Asim.Machine.quiet_config r.Asim.Opt.analysis)
-      in
-      List.iteri
-        (fun k t -> best.(k) <- Float.min best.(k) (t *. 1000.0))
-        [ parse; analyze; optimize; build ]
+      let v, t = time f in
+      best.(k) <- Float.min best.(k) (t *. 1000.0);
+      v
+    in
+    let t0 = Unix.gettimeofday () and n = ref 0 in
+    while !n < reps || Unix.gettimeofday () -. t0 < 1.0 do
+      incr n;
+      let spec = stage 0 (fun () -> Asim.Parser.parse_string text) in
+      let analysis = stage 1 (fun () -> Asim.Analysis.analyze spec) in
+      let r = stage 2 (fun () -> Asim.Opt.run_result ~level:Asim.Opt.O2 analysis) in
+      ignore
+        (stage 3 (fun () ->
+             Asim_flat.Flat.create ~config:Asim.Machine.quiet_config r.Asim.Opt.analysis))
     done;
     (components, best)
   in
@@ -677,7 +683,7 @@ let table t =
       pr "\n")
     t.opt_ablation;
   (let fe = t.frontend in
-   pr "front end %s: min of %d reps, %d core%s online\n" fe.fe_workload fe.fe_reps
+   pr "front end %s: min of >= %d reps per size, %d core%s online\n" fe.fe_workload fe.fe_reps
      fe.fe_cores_online
      (if fe.fe_cores_online = 1 then "" else "s");
    pr "  %-12s" "stage";

@@ -21,46 +21,57 @@ let is_number_start c = is_digit c || c = '$' || c = '%' || c = '^'
 
 let malformed s = Error.failf Error.Parsing "Malformed number %s." s
 
-(* One term starting at [i]; returns the term and the index past it. *)
-let parse_term s i =
-  let len = String.length s in
-  let digits ~accept ~base ~digit i0 =
-    let rec go acc i =
-      if i < len && accept s.[i] then go ((acc * base) + digit s.[i]) (i + 1)
-      else (acc, i)
-    in
-    let v, j = go 0 i0 in
-    if j = i0 then malformed s else (v, j)
-  in
-  let dec_digit c = Char.code c - Char.code '0' in
-  let hex_digit c = if is_digit c then dec_digit c else Char.code c - Char.code 'A' + 10 in
-  match s.[i] with
-  | '%' ->
-      let v, j = digits ~accept:(fun c -> c = '0' || c = '1') ~base:2 ~digit:dec_digit (i + 1) in
-      (Binary (v, j - i - 1), j)
-  | '$' ->
-      let v, j = digits ~accept:is_hex_digit ~base:16 ~digit:hex_digit (i + 1) in
-      (Hex v, j)
-  | '^' ->
-      let e, j = digits ~accept:is_digit ~base:10 ~digit:dec_digit (i + 1) in
-      if e < 0 || e > Bits.word_bits then malformed s else (Pow2 e, j)
-  | c when is_digit c ->
-      let v, j = digits ~accept:is_digit ~base:10 ~digit:dec_digit i in
-      (Decimal v, j)
-  | _ -> malformed s
+exception Malformed
 
-let parse s =
-  let len = String.length s in
-  if len = 0 then malformed s
+let digit_value c = Char.code c - Char.code '0'
+let hex_value c = if is_digit c then digit_value c else Char.code c - Char.code 'A' + 10
+
+(* Small one-term decimals are shared: numbers are immutable, and most
+   literals in a spec are bit positions, widths and function codes. *)
+let small = Array.init 64 (fun k -> [ Decimal k ])
+
+(* The terms of [s.[i .. stop - 1]] after [acc] (reversed); [Malformed]
+   where the text is not a number. *)
+let rec terms s i stop acc =
+  let c = s.[i] in
+  let first = if c = '%' || c = '$' || c = '^' then i + 1 else i in
+  let v = ref 0 and j = ref first in
+  (match c with
+  | '%' ->
+      while !j < stop && (s.[!j] = '0' || s.[!j] = '1') do
+        v := (!v * 2) + digit_value s.[!j];
+        incr j
+      done
+  | '$' ->
+      while !j < stop && is_hex_digit s.[!j] do
+        v := (!v * 16) + hex_value s.[!j];
+        incr j
+      done
+  | _ ->
+      while !j < stop && is_digit s.[!j] do
+        v := (!v * 10) + digit_value s.[!j];
+        incr j
+      done);
+  let j = !j and v = !v in
+  if j = first then raise Malformed;
+  if j = stop && acc = [] && first = i && v >= 0 && v < Array.length small then small.(v)
   else
-    let rec go acc i =
-      let term, j = parse_term s i in
-      let acc = term :: acc in
-      if j = len then List.rev acc
-      else if s.[j] = '+' && j + 1 < len then go acc (j + 1)
-      else malformed s
+    let t =
+      match c with
+      | '%' -> Binary (v, j - first)
+      | '$' -> Hex v
+      | '^' -> if v < 0 || v > Bits.word_bits then raise Malformed else Pow2 v
+      | _ -> Decimal v
     in
-    go [] 0
+    if j = stop then List.rev (t :: acc)
+    else if s.[j] = '+' && j + 1 < stop then terms s (j + 1) stop (t :: acc)
+    else raise Malformed
+
+let parse_sub s start stop =
+  try if start < stop then terms s start stop [] else raise Malformed
+  with Malformed -> malformed (String.sub s start (stop - start))
+
+let parse s = parse_sub s 0 (String.length s)
 
 let parse_value s = value (parse s)
 

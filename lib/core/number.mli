@@ -23,6 +23,10 @@ val parse : string -> t
     [Parsing]) on malformed input, mirroring the paper's
     "Error. Malformed number" diagnostic. *)
 
+val parse_sub : string -> int -> int -> t
+(** [parse_sub s start stop] is [parse (String.sub s start (stop - start))]
+    without the copy. *)
+
 val parse_value : string -> int
 (** [value (parse s)]. *)
 

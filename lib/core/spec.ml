@@ -22,24 +22,35 @@ let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 
 let is_digit c = c >= '0' && c <= '9'
 
-let is_valid_name s =
-  String.length s > 0
-  && is_letter s.[0]
-  && String.for_all (fun c -> is_letter c || is_digit c) s
+let rec alnum_from s i =
+  i >= String.length s || ((is_letter s.[i] || is_digit s.[i]) && alnum_from s (i + 1))
 
-let validate t =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Component.t) ->
+let is_valid_name s = String.length s > 0 && is_letter s.[0] && alnum_from s 1
+
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let index t =
+  let table = Names.create (max 16 (List.length t.components)) in
+  List.iteri
+    (fun i (c : Component.t) ->
       if not (is_valid_name c.name) then
         Error.failf ~component:c.name Error.Analysis
           "Component name %s invalid, use letters and numbers only." c.name;
-      if Hashtbl.mem seen c.name then
+      let before = Names.length table in
+      Names.replace table c.name i;
+      if Names.length table = before then
         Error.failf ~component:c.name Error.Analysis
           "component %s defined more than once" c.name;
-      Hashtbl.add seen c.name ();
       Component.validate c)
-    t.components
+    t.components;
+  table
+
+let validate t = ignore (index t : int Names.t)
 
 let make ?(comment = "generated specification") ?cycles ?decls components =
   let decls =

@@ -24,10 +24,17 @@ val is_valid_name : string -> bool
 (** Letters and digits only, starting with a letter (the paper's
     [checkname]). *)
 
-val validate : t -> unit
+module Names : Hashtbl.S with type key = string
+(** Tables keyed by component name. *)
+
+val index : t -> int Names.t
 (** Structural validation: component names well-formed and unique, every
-    component structurally valid ({!Component.validate}).  Cross-reference
-    and dependency checks live in [Asim_analysis]. *)
+    component structurally valid ({!Component.validate}).  Returns each
+    component's position in [components], by name.  Cross-reference and
+    dependency checks live in [Asim_analysis]. *)
+
+val validate : t -> unit
+(** {!index} for its checks alone. *)
 
 val make :
   ?comment:string ->

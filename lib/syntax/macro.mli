@@ -10,21 +10,25 @@
     recursive. *)
 
 type table
-(** Name → body, in definition order. *)
-
-val empty : table
+(** Name → body, hashed, remembering definition order. *)
 
 val definitions : table -> (string * string) list
+(** In definition order. *)
+
+val read : Lexer.cursor -> table
+(** Read the leading macro definitions starting at the cursor's current
+    token, leaving the cursor on the first token that is not part of one.
+    Raises {!Asim_core.Error.Error} (phase [Parsing]) on a malformed
+    definition (bad name, missing body, duplicate, or use of an undefined
+    macro in a body). *)
 
 val consume : Lexer.token list -> table * Lexer.token list
-(** Read leading macro definitions off the token stream. Raises
-    {!Asim_core.Error.Error} (phase [Parsing]) on a malformed definition
-    (bad name, missing body, duplicate, or use of an undefined macro in a
-    body). *)
+(** {!read} over a token list: the table and the tokens after the
+    definitions. *)
 
 val expand_text : table -> pos:Asim_core.Error.position -> string -> string
 (** Expand every [~name] occurrence in one token.  Raises on undefined
     macros, mirroring the paper's "Error. Macro <x> not defined." *)
 
 val expand : table -> Lexer.token list -> Lexer.token list
-(** {!expand_text} over a whole stream. *)
+(** {!expand_text} over every token of a list that contains a [~]. *)

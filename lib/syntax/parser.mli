@@ -1,4 +1,6 @@
-(** Parser: token stream → {!Asim_core.Spec.t}.
+(** Parser: specification text → {!Asim_core.Spec.t}, in one pass that
+    pulls tokens from a {!Lexer.cursor} and expands macros only in tokens
+    holding a [~].
 
     File layout (Appendix A):
     {v
@@ -26,8 +28,11 @@
 
 val parse_string : string -> Asim_core.Spec.t
 (** Parse a complete specification source.  Raises {!Asim_core.Error.Error}
-    with phase [Lexing]/[Parsing] on malformed input.  The result is
-    structurally validated ({!Asim_core.Spec.validate}). *)
+    with phase [Lexing]/[Parsing] on malformed input, ranked as if the
+    whole text were lexed, then macro-expanded, then parsed: the first
+    lexing error anywhere wins, then the first macro error, then the first
+    parse error.  The result is structurally validated
+    ({!Asim_core.Spec.validate}). *)
 
 val parse_file : string -> Asim_core.Spec.t
 (** [parse_string] over a file's contents. *)

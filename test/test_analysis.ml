@@ -2,13 +2,12 @@
 
 open Asim_core
 module Analysis = Asim_analysis.Analysis
-module Depgraph = Asim_analysis.Depgraph
 module Width = Asim_analysis.Width
 
 let parse = Asim_syntax.Parser.parse_string
 
 let order_names spec =
-  List.map (fun (c : Component.t) -> c.name) (Depgraph.order spec)
+  List.map (fun (c : Component.t) -> c.name) (Analysis.analyze spec).Analysis.order
 
 let test_dependency_order () =
   (* b depends on a, c on b; declared in reverse. *)
@@ -24,7 +23,7 @@ let test_memory_breaks_cycles () =
 
 let test_circular_dependency () =
   let spec = parse "#c\na b .\nA a 4 b 1\nA b 4 a 1\n.\n" in
-  match Depgraph.order spec with
+  match Analysis.analyze spec with
   | exception Error.Error { phase = Error.Analysis; message; _ } ->
       Alcotest.(check bool)
         "paper-style message" true
@@ -34,7 +33,7 @@ let test_circular_dependency () =
 
 let test_self_dependency () =
   let spec = parse "#c\na .\nA a 4 a 1\n.\n" in
-  match Depgraph.order spec with
+  match Analysis.analyze spec with
   | exception Error.Error { phase = Error.Analysis; _ } -> ()
   | _ -> Alcotest.fail "expected circular dependency error"
 

@@ -243,6 +243,93 @@ let test_parse_file () =
   Sys.remove path;
   Alcotest.(check int) "components" 2 (List.length spec.Spec.components)
 
+(* --- hostile input ------------------------------------------------------- *)
+
+(* A memory whose initial-value count is far beyond what the text holds
+   fails like a short list does, with no allocation sized by the count. *)
+let test_hostile_memory_init () =
+  (match Parser.parse_string "#c\nm .\nM m 0 0 0 -100000000000000 5\n" with
+  | exception Error.Error { phase = Error.Parsing; position = Some p; message; _ } ->
+      Alcotest.(check string) "message" "unexpected end of input, expected memory initial value"
+        message;
+      Alcotest.(check (pair int int)) "at the last value" (3, 28) (p.Error.line, p.Error.column)
+  | _ -> Alcotest.fail "expected a positioned parse error");
+  parse_error "#c\nm .\nM m 0 0 0 -100000000000000 5\n.\n"
+
+(* Same-process ratio: ten times the definitions (or instances) may cost
+   at most thirty times the time; a per-item list scan costs a hundred. *)
+let best_of_3 f =
+  List.fold_left
+    (fun best () ->
+      let t0 = Unix.gettimeofday () in
+      ignore (f () : Spec.t);
+      Float.min best (Unix.gettimeofday () -. t0))
+    infinity [ (); (); () ]
+
+let check_linear what make =
+  let small = make 2_000 and large = make 20_000 in
+  let t_small = best_of_3 (fun () -> Parser.parse_string small) in
+  let t_large = best_of_3 (fun () -> Parser.parse_string large) in
+  if t_large > 30.0 *. t_small then
+    Alcotest.failf "%s: 20k took %.1f ms, %.0fx the 2k (%.2f ms)" what (t_large *. 1000.0)
+      (t_large /. t_small) (t_small *. 1000.0)
+
+(* [n] macros, each used once, by one ALU apiece. *)
+let macro_spec n =
+  let b = Buffer.create (n * 24) in
+  Buffer.add_string b "#macros\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "~m%d %d\n" i (i land 15)
+  done;
+  for i = 0 to n - 1 do
+    Printf.bprintf b "c%d " i
+  done;
+  Buffer.add_string b ".\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "A c%d ~m%d 0 0\n" i i
+  done;
+  Buffer.add_string b ".\n";
+  Buffer.contents b
+
+(* [n] instances of a two-component module, every expanded register
+   declared by the user. *)
+let instance_spec n =
+  let b = Buffer.create (n * 32) in
+  Buffer.add_string b "#instances\nclk ";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "i%dq " i
+  done;
+  Buffer.add_string b ".\nA clk 1 0 1\nB cell en .\nA n 10 q en\nM q 0 n 1 1\nE\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "U i%d cell clk\n" i
+  done;
+  Buffer.add_string b ".\n";
+  Buffer.contents b
+
+let test_macros_linear () = check_linear "macros" macro_spec
+let test_instances_linear () = check_linear "module instances" instance_spec
+
+(* --- frozen behaviour on damaged input ------------------------------------ *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Every mutant's outcome must match the golden byte for byte, and nothing
+   but [Error.Error] may escape the parser or the analysis
+   ([Parse_corpus.outcome] catches nothing else). *)
+let test_corpus_golden () =
+  let golden = read_file (Filename.concat "goldens" "parse_errors.golden") in
+  let replayed = Asim_parse_corpus.Parse_corpus.render () in
+  let la = String.split_on_char '\n' replayed and lb = String.split_on_char '\n' golden in
+  Alcotest.(check int) "line count" (List.length lb) (List.length la);
+  List.iter2
+    (fun got want ->
+      if got <> want then Alcotest.failf "outcome differs:\n  now:    %s\n  golden: %s" got want)
+    la lb
+
 let () =
   Alcotest.run "syntax"
     [
@@ -285,4 +372,11 @@ let () =
           Alcotest.test_case "fmt flattens" `Quick test_fmt_flattens_modules;
           Alcotest.test_case "errors" `Quick test_module_errors;
         ] );
+      ( "hostile input",
+        [
+          Alcotest.test_case "memory init beyond the text" `Quick test_hostile_memory_init;
+          Alcotest.test_case "macros linear in count" `Quick test_macros_linear;
+          Alcotest.test_case "instances linear in count" `Quick test_instances_linear;
+        ] );
+      ("corpus", [ Alcotest.test_case "damaged input golden" `Quick test_corpus_golden ]);
     ]

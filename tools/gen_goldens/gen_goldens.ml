@@ -1,6 +1,7 @@
 (* Regenerate the checked-in golden files under test/goldens/.
 
-   Run from the repository root after a deliberate backend change:
+   Run from the repository root after a deliberate backend or parser
+   change:
 
      dune exec tools/gen_goldens/gen_goldens.exe
 
@@ -32,4 +33,5 @@ let () =
   backend "traffic.v" Codegen.Verilog Specs.traffic_light;
   write "stackm.asim.golden"
     (Asim_core.Pretty.spec
-       (Asim_stackm.Microcode.spec ~program:Asim_stackm.Programs.sieve ()))
+       (Asim_stackm.Microcode.spec ~program:Asim_stackm.Programs.sieve ()));
+  write "parse_errors.golden" (Asim_parse_corpus.Parse_corpus.render ())
