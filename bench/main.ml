@@ -663,9 +663,12 @@ let gate_level_test =
     (Staged.stage (fun () -> Asim_gates.Circuit.step c))
 
 let appf_netlist_test =
-  let spec = Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image () in
+  let analysis =
+    Asim.Analysis.analyze (Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image ())
+  in
   Test.make ~name:"appF/tinyc-netlist"
-    (Staged.stage (fun () -> ignore (Asim_netlist.Synth.synthesize spec : Asim_netlist.Synth.t)))
+    (Staged.stage (fun () ->
+         ignore (Asim_netlist.Synth.synthesize analysis : Asim_netlist.Synth.t)))
 
 let run_bechamel () =
   hr "Bechamel micro-benchmarks (ns per call, OLS on monotonic clock)";

@@ -128,16 +128,12 @@ let check_cmd =
     let spec = analysis.Asim.Analysis.spec in
     Printf.printf "%d components read.\n" (List.length spec.Asim.Spec.components);
     Printf.printf "combinational order: %s\n"
-      (String.concat " "
-         (List.map
-            (fun (c : Asim.Component.t) -> c.name)
-            analysis.Asim.Analysis.order));
-    let widths = Asim.Width.infer spec in
-    List.iter
-      (fun (c : Asim.Component.t) ->
-        Printf.printf "  %c %-14s %2d bits\n" (Asim.Component.kind_letter c) c.name
-          (try List.assoc c.name widths with Not_found -> 31))
-      spec.Asim.Spec.components;
+      (String.concat " " (Asim.Analysis.names analysis analysis.Asim.Analysis.order));
+    let widths = Asim.Analysis.widths analysis in
+    Array.iteri
+      (fun id (c : Asim.Component.t) ->
+        Printf.printf "  %c %-14s %2d bits\n" (Asim.Component.kind_letter c) c.name widths.(id))
+      analysis.Asim.Analysis.comps;
     List.iter
       (fun lint -> print_endline (Asim.Analysis.lint_to_string lint))
       (Asim.Analysis.lints analysis)
@@ -517,7 +513,7 @@ let pipeline_cmd =
 let netlist_cmd =
   let run path format =
     let analysis = or_die (load path) in
-    let net = Asim_netlist.Synth.synthesize analysis.Asim.Analysis.spec in
+    let net = Asim_netlist.Synth.synthesize analysis in
     let text =
       match format with
       | "bom" -> Asim_netlist.Synth.bom_to_string net

@@ -60,7 +60,7 @@ let () =
 
   let analysis = Analysis.analyze spec in
   Printf.printf "\nevaluation order: %s\n\n"
-    (String.concat " " (List.map (fun (c : Component.t) -> c.name) analysis.Analysis.order));
+    (String.concat " " (Analysis.names analysis analysis.Analysis.order));
 
   (* simulate: watch the count rise, saturate, and fall *)
   let machine = machine ~config:Machine.quiet_config analysis in
@@ -72,7 +72,7 @@ let () =
   Printf.printf "count: %s\n\n" (String.concat " " (List.map string_of_int series));
 
   (* and everything else applies to it too *)
-  let net = Asim_netlist.Synth.synthesize spec in
+  let net = Asim_netlist.Synth.synthesize analysis in
   print_endline "hardware parts:";
   print_endline (Asim_netlist.Synth.bom_to_string net);
   let gates = Asim_gates.Circuit.of_analysis analysis in

@@ -22,8 +22,7 @@ let () =
   let analysis = Asim.load_string source in
   Printf.printf "components: %d, evaluation order: %s\n\n"
     (List.length analysis.Asim.Analysis.spec.Asim.Spec.components)
-    (String.concat " "
-       (List.map (fun (c : Asim.Component.t) -> c.name) analysis.Asim.Analysis.order));
+    (String.concat " " (Asim.Analysis.names analysis analysis.Asim.Analysis.order));
 
   (* Build a machine.  [Compiled] is the paper's contribution (ASIM II);
      [Interpreter] is the ASIM baseline.  Both behave identically. *)

@@ -28,7 +28,7 @@ let () =
     Asim_tinyc.Machine.demo_cycles obs.Asim_tinyc.Machine.pc obs.borrow obs.ac;
 
   (* The §5.3 construction story: map the spec onto shelf parts. *)
-  let net = Asim_netlist.Synth.synthesize spec in
+  let net = Asim_netlist.Synth.synthesize analysis in
   print_endline "\nhardware realization (Appendix F):";
   print_endline (Asim_netlist.Synth.instances_to_string net);
   print_endline "\nbill of materials:";

@@ -7,15 +7,19 @@ type trace_condition =
 
 type t = {
   spec : Spec.t;
-  order : Component.t list;
-  memories : Component.t list;
+  comps : Component.t array;
+  ids : int Spec.Names.t;
+  refs : int array array;
+  order : int array;
+  memories : int array;
   warnings : Error.warning list;
 }
 
 (* Every name resolves once, through the table [Spec.index] builds while it
-   validates: [refs.(i)] holds component [i]'s references as indices (see
+   validates: [refs.(i)] holds component [i]'s references as ids (see
    [Width.resolve]), negative where nothing defines the name.  Reference
-   checks, ordering and the warnings below all read these. *)
+   checks, ordering and the warnings below all read these, and so does
+   every pass, engine and report downstream. *)
 
 (* The [k]-th reference of a component, left to right across its inputs. *)
 let nth_ref (c : Component.t) k =
@@ -78,15 +82,48 @@ let update_order_warnings index comps =
   List.rev !warnings
 
 let analyze spec =
-  let index = Spec.index spec in
+  let ids = Spec.index spec in
   let comps = Array.of_list spec.Spec.components in
-  let id name = Option.value (Spec.Names.find_opt index name) ~default:(-1) in
+  let id name = Option.value (Spec.Names.find_opt ids name) ~default:(-1) in
   let refs = Array.map (Width.resolve ~id) comps in
   check_references comps refs;
   let order = Depgraph.order comps refs in
-  let memories = List.filter Component.is_memory spec.Spec.components in
-  let warnings = declaration_warnings spec index comps @ update_order_warnings index comps in
-  { spec; order; memories; warnings }
+  let memories =
+    List.init (Array.length comps) Fun.id
+    |> List.filter (fun i -> Component.is_memory comps.(i))
+    |> Array.of_list
+  in
+  let warnings = declaration_warnings spec ids comps @ update_order_warnings ids comps in
+  { spec; comps; ids; refs; order; memories; warnings }
+
+let id t name =
+  match Spec.Names.find_opt t.ids name with
+  | Some i -> i
+  | None -> Error.failf Error.Runtime "Component <%s> not found." name
+
+(* [memories] is ascending (declaration order is id order), so a memory's
+   position is a binary search away. *)
+let memory t name =
+  let i = Option.value (Spec.Names.find_opt t.ids name) ~default:(-1) in
+  let rec search lo hi =
+    if lo >= hi then Error.failf Error.Runtime "Component <%s> is not a memory." name
+    else
+      let mid = (lo + hi) / 2 in
+      let m = t.memories.(mid) in
+      if m = i then mid else if m < i then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length t.memories)
+
+let names t ids = Array.fold_right (fun i acc -> t.comps.(i).Component.name :: acc) ids []
+
+let reader refs =
+  let k = ref 0 in
+  fun () ->
+    let id = refs.(!k) in
+    incr k;
+    id
+
+let widths t = Width.infer t.comps t.refs
 
 let trace_condition ~const_test ~min_width (m : Component.memory) =
   match Expr.const_value m.op with
@@ -104,33 +141,37 @@ type lint =
   | Address_possible_overrun of { memory : string; cells : int; addr_width : int }
 
 let lints t =
-  let env = Width.infer t.spec in
-  List.filter_map
-    (fun (c : Component.t) ->
-      match c.kind with
-      | Component.Alu _ -> None
-      | Component.Selector { select; cases } -> (
-          let n = Array.length cases in
-          match Expr.const_value select with
-          | Some v when v >= 0 && v < n -> None
-          | _ ->
-              let w = Width.expr_width env select in
-              if w < Bits.word_bits && 1 lsl w <= n then None
-              else
-                Some
-                  (Selector_possible_overrun
-                     { selector = c.name; cases = n; select_width = w }))
-      | Component.Memory { addr; cells; _ } -> (
-          match Expr.const_value addr with
-          | Some v when v >= 0 && v < cells -> None
-          | _ ->
-              let w = Width.expr_width env addr in
-              if w < Bits.word_bits && 1 lsl w <= cells then None
-              else
-                Some
-                  (Address_possible_overrun
-                     { memory = c.name; cells; addr_width = w })))
-    t.spec.Spec.components
+  let widths = widths t in
+  (* The select and address expressions are the first input of their
+     component, so their references lead the component's list. *)
+  let width i e = Width.expr_width widths (reader t.refs.(i)) e in
+  List.filter_map Fun.id
+    (List.mapi
+       (fun i (c : Component.t) ->
+         match c.kind with
+         | Component.Alu _ -> None
+         | Component.Selector { select; cases } -> (
+             let n = Array.length cases in
+             match Expr.const_value select with
+             | Some v when v >= 0 && v < n -> None
+             | _ ->
+                 let w = width i select in
+                 if w < Bits.word_bits && 1 lsl w <= n then None
+                 else
+                   Some
+                     (Selector_possible_overrun
+                        { selector = c.name; cases = n; select_width = w }))
+         | Component.Memory { addr; cells; _ } -> (
+             match Expr.const_value addr with
+             | Some v when v >= 0 && v < cells -> None
+             | _ ->
+                 let w = width i addr in
+                 if w < Bits.word_bits && 1 lsl w <= cells then None
+                 else
+                   Some
+                     (Address_possible_overrun
+                        { memory = c.name; cells; addr_width = w })))
+       t.spec.Spec.components)
 
 let lint_to_string = function
   | Selector_possible_overrun { selector; cases; select_width } ->
@@ -144,18 +185,20 @@ let lint_to_string = function
          wide; out-of-range addresses are a runtime error."
         memory cells addr_width
 
-let memory_output_used t name =
-  List.mem name (Spec.traced_names t.spec)
-  || List.exists
-       (fun (c : Component.t) ->
-         List.exists (fun e -> List.mem name (Expr.names e)) (Component.inputs c))
-       t.spec.Spec.components
-  ||
-  (* read/write trace lines print the temporary *)
-  match Spec.find t.spec name with
-  | Some { Component.kind = Component.Memory m; _ } ->
-      write_trace_condition m <> Trace_never || read_trace_condition m <> Trace_never
-  | Some _ | None -> false
+let memory_output_used t =
+  let read = Array.make (Array.length t.comps) false in
+  Array.iter (Array.iter (fun j -> if j >= 0 then read.(j) <- true)) t.refs;
+  List.iter
+    (fun name -> Option.iter (fun j -> read.(j) <- true) (Spec.Names.find_opt t.ids name))
+    (Spec.traced_names t.spec);
+  fun i ->
+    read.(i)
+    ||
+    (* read/write trace lines print the temporary *)
+    match t.comps.(i).Component.kind with
+    | Component.Memory m ->
+        write_trace_condition m <> Trace_never || read_trace_condition m <> Trace_never
+    | Component.Alu _ | Component.Selector _ -> false
 
 let memory_io_possible (m : Component.memory) =
   match Expr.const_value m.op with

@@ -13,11 +13,23 @@ type trace_condition =
       (** operation is an expression wide enough to carry trace bits; the
           check must be emitted/evaluated at run time *)
 
+(** The resolved program.  A component's {e id} is its position in
+    [spec.components]; every name in the spec is resolved to an id once,
+    here, and every pass, engine and report downstream reads the ids. *)
 type t = {
   spec : Spec.t;
-  order : Component.t list;
-      (** ALUs and selectors in dependency evaluation order *)
-  memories : Component.t list;  (** memories in declaration order *)
+  comps : Component.t array;  (** [spec.components], by id *)
+  ids : int Spec.Names.t;
+      (** name → id, the table {!Spec.index} builds.  Never mutated after
+          {!analyze}, so one analysis can be shared read-only across
+          domains.  Only names that arrive from outside the program (fault
+          targets, traced names, {!id}) are looked up here. *)
+  refs : int array array;
+      (** [refs.(i)]: the ids of component [i]'s references, one per [Ref]
+          atom, left to right across {!Component.inputs}
+          ({!Width.resolve}'s order) *)
+  order : int array;  (** ids of the ALUs and selectors in evaluation order *)
+  memories : int array;  (** ids of the memories in declaration order *)
   warnings : Error.warning list;
 }
 
@@ -26,6 +38,27 @@ val analyze : Spec.t -> t
     component references, structural errors or circular dependencies.
     Warnings (declared-but-not-defined, defined-but-not-declared, memory
     update-order hazards) are collected, not raised. *)
+
+val id : t -> string -> int
+(** The id of a named component.  Raises {!Error.Error} ([Runtime],
+    "Component <x> not found.") for a name nothing defines. *)
+
+val memory : t -> string -> int
+(** The position in [memories] of a named memory.  Raises {!Error.Error}
+    ([Runtime], "Component <x> is not a memory.") otherwise. *)
+
+val names : t -> int array -> string list
+(** The names of these ids, in order: [names t t.order] lists the
+    evaluation order. *)
+
+val reader : int array -> unit -> int
+(** [reader t.refs.(i)] hands out component [i]'s reference ids one per
+    call, left to right: a walker that visits the component's [Ref] atoms
+    in {!Component.inputs} order calls it once per atom. *)
+
+val widths : t -> int array
+(** Every component's inferred output width in bits, by id
+    ({!Width.infer}). *)
 
 val write_trace_condition : Component.memory -> trace_condition
 (** When must a "Write to ..." trace line be printed?  Constant operations
@@ -51,17 +84,19 @@ type lint =
           is why its run is bounded at 5545 cycles *)
 
 val lints : t -> lint list
-(** Widths come from {!Width.infer}, so a 1-bit register feeding a 2-way
+(** Widths come from {!widths}, so a 1-bit register feeding a 2-way
     selector is (correctly) not flagged. *)
 
 val lint_to_string : lint -> string
 
-val memory_output_used : t -> string -> bool
+val memory_output_used : t -> int -> bool
 (** Is the memory's registered output ever read — by any component
-    expression or by the per-cycle trace list?  When it is not, a code
-    generator need not maintain the temporary at all: §5.4's "heuristics to
-    determine which memories do not need temporary variables in which to
-    store results". *)
+    expression, by the per-cycle trace list or by its own trace lines?
+    When it is not, a code generator need not maintain the temporary at
+    all: §5.4's "heuristics to determine which memories do not need
+    temporary variables in which to store results".  Staged: the partial
+    application [memory_output_used t] marks every id anyone reads, once;
+    apply the result to each memory's id. *)
 
 val memory_io_possible : Component.memory -> bool
 (** False when the operation can never select input or output — a constant

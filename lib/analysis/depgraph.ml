@@ -1,23 +1,5 @@
 open Asim_core
 
-let dependencies spec (c : Component.t) =
-  let comb = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Component.t) ->
-      if not (Component.is_memory c) then Hashtbl.replace comb c.name ())
-    spec.Spec.components;
-  let inputs = Component.combinational_inputs c in
-  let referenced = List.concat_map Expr.names inputs in
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun name ->
-      if Hashtbl.mem seen name then false
-      else begin
-        Hashtbl.add seen name ();
-        Hashtbl.mem comb name
-      end)
-    referenced
-
 let order comps refs =
   let n = Array.length comps in
   let comb i = not (Component.is_memory comps.(i)) in
@@ -55,7 +37,7 @@ let order comps refs =
     let next = ref [] in
     List.iter
       (fun i ->
-        placed := comps.(i) :: !placed;
+        placed := i :: !placed;
         incr nplaced;
         List.iter
           (fun j ->
@@ -78,4 +60,4 @@ let order comps refs =
     Error.failf ~component:a Error.Analysis
       "Circular dependency with %s and/or %s." a b
   end;
-  List.rev !placed
+  Array.of_list (List.rev !placed)

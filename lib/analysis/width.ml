@@ -1,14 +1,11 @@
 open Asim_core
 
-type env = (string * int) list
-
 let cap w = max 1 (min Bits.word_bits w)
 
 (* The rules are compiled once per component: each expression becomes an
    [int array] holding the total of its fixed-width atoms, then the slots
    of its filling references, so the fixpoint below sweeps an [int array]
-   of widths without touching a name.  The assoc-list [env] API evaluates
-   the very same compiled form. *)
+   of widths without touching a name. *)
 type node =
   | Alu of { fn : Component.alu_function option; left : int array; right : int array }
   | Selector of int array array
@@ -178,36 +175,20 @@ let solve plan =
   done;
   Array.sub widths 0 n
 
-let infer (spec : Spec.t) =
-  let components = Array.of_list spec.components in
-  let ids = Hashtbl.create (max 16 (Array.length components)) in
-  Array.iteri (fun i (c : Component.t) -> Hashtbl.replace ids c.name i) components;
-  let id name = Option.value (Hashtbl.find_opt ids name) ~default:(-1) in
-  let p = plan (Array.length components) in
-  Array.iteri (fun i c -> update p i ~refs:(resolve ~id c) c) components;
-  let widths = solve p in
-  List.mapi (fun i (c : Component.t) -> (c.name, widths.(i))) spec.components
+let infer comps refs =
+  let p = plan (Array.length comps) in
+  Array.iteri (fun i c -> update p i ~refs:refs.(i) c) comps;
+  solve p
 
-(* The views compile against a private width array: one slot per
-   reference, holding the environment's entry for its name, and a last
-   slot for the full word. *)
-let lookup env name =
-  match List.assoc_opt name env with Some w -> w | None -> Bits.word_bits
-
-let view env names compile_one eval_one =
-  let names = Array.of_list names in
-  let m = Array.length names in
-  let widths = Array.init (m + 1) (fun k -> if k < m then lookup env names.(k) else Bits.word_bits) in
-  eval_one widths (compile_one { refs = Array.init m Fun.id; pos = 0; unknown = m })
-
-let ref_names atoms =
-  List.filter_map (function Expr.Ref { name; _ } -> Some name | _ -> None) atoms
-
-let expr_width env atoms =
-  view env (ref_names atoms) (fun cur -> compile_expr cur atoms) eval_expr
-
-let component_width env c =
-  view env
-    (List.concat_map ref_names (Component.inputs c))
-    (fun cur -> compile cur c)
-    eval
+(* [compile_expr] then [eval_expr], without building the compiled form. *)
+let expr_width widths next atoms =
+  List.fold_left
+    (fun w atom ->
+      match atom with
+      | Expr.Ref { field; _ } ->
+          let k = next () in
+          if field <> Expr.Whole then w
+          else w + if k < 0 then Bits.word_bits else widths.(k)
+      | _ -> w)
+    (fixed_width atoms) atoms
+  |> cap

@@ -10,22 +10,27 @@
 
     The rules are compiled once per component, with every filling reference
     resolved to a slot, and the fixpoint sweeps an [int array]
-    ({!solve}).  The assoc-list {!env} API is a view over that core. *)
+    ({!solve}).  Widths are by id: a component's position in the spec,
+    the numbering [Analysis] resolves every name to. *)
 
 open Asim_core
 
-type env = (string * int) list
-(** Component name → inferred output width in bits. *)
+val infer : Component.t array -> int array array -> int array
+(** Fixpoint width inference over a resolved program: [refs.(i)] are
+    component [i]'s references as {!resolve} lists them.  Returns every
+    component's output width in bits, by id; unknown constructs default to
+    the full word. *)
 
-val infer : Spec.t -> env
-(** Fixpoint width inference over the whole spec.  Every declared component
-    gets an entry; unknown constructs default to the full word. *)
+val expr_width : int array -> (unit -> int) -> Expr.t -> int
+(** Width of one expression under [widths] (by id, as {!infer} returns
+    them).  [next] supplies the ids of the expression's references, left to
+    right; a negative id reads as the full word. *)
 
 (** {1 The dense core}
 
-    {!infer} resolves each component's references to slots, compiles its
-    rule into a {!plan}, and {!solve}s the plan.  The optimizer drives the
-    same steps itself, re-compiling only the components it rewrites. *)
+    {!infer} compiles each component's rule into a {!plan} and {!solve}s
+    the plan.  The optimizer drives the same steps itself, re-compiling
+    only the components it rewrites. *)
 
 type plan
 (** Every component's width rule, with its references resolved to slots:
@@ -46,9 +51,3 @@ val resolve : id:(string -> int) -> Component.t -> int array
 (** A component's references as slots: [id name] for each [Ref] atom, left
     to right across {!Component.inputs}; [id] returns a negative number for
     a name nothing defines, which reads as the full word. *)
-
-val component_width : env -> Component.t -> int
-(** Width of one component's output under the environment. *)
-
-val expr_width : env -> Expr.t -> int
-(** Width of an expression, resolving filling references through [env]. *)

@@ -74,28 +74,22 @@ let emit_prelude em =
   l "  else printf(\"Output to address %lld: %lld\\n\", address, data);";
   l "}"
 
-let memory_parts (a : Analysis.t) =
-  List.filter_map
-    (fun (c : Component.t) ->
-      match c.kind with Component.Memory m -> Some (c.name, m) | _ -> None)
-    a.Analysis.spec.Spec.components
-
 let emit_state em (a : Analysis.t) =
   List.iter
-    (fun (name, (m : Component.memory)) ->
+    (fun (name, (m : Component.memory), elide) ->
       Emitter.linef em "static long long mem%s[%d];" name m.cells;
-      if Lower.temp_elidable a name then
+      if elide then
         Emitter.linef em "static long long adr%s, opn%s;" name name
       else Emitter.linef em "static long long temp%s, adr%s, opn%s;" name name name)
-    (memory_parts a);
+    (Lower.memory_parts a);
   List.iter
     (fun (c : Component.t) -> Emitter.linef em "static long long ljb%s;" c.name)
-    a.Analysis.order;
+    (Lower.order a);
   Emitter.blank em;
   Emitter.line em "static void initvalues(void) {";
   Emitter.indented em (fun () ->
       List.iter
-        (fun (name, (m : Component.memory)) ->
+        (fun (name, (m : Component.memory), _) ->
           match m.init with
           | None -> ()
           | Some values ->
@@ -106,7 +100,7 @@ let emit_state em (a : Analysis.t) =
                 m.cells values;
               Emitter.linef em "for (int i = 0; i < %d; i++) mem%s[i] = init%s[i];"
                 m.cells name name)
-        (memory_parts a));
+        (Lower.memory_parts a));
   Emitter.line em "}"
 
 let alu_assignment is_memory name (alu : Component.alu) =
@@ -227,11 +221,7 @@ let emit_memory_trace em name (m : Component.memory) =
 
 let generate (a : Analysis.t) =
   let spec = a.Analysis.spec in
-  let is_memory name =
-    match Spec.find spec name with
-    | Some c -> Component.is_memory c
-    | None -> false
-  in
+  let is_memory = Lower.is_memory a in
   let em = Emitter.create () in
   Emitter.linef em "/* #%s */" spec.Spec.comment;
   Emitter.line em "/* generated by asim; do not edit */";
@@ -253,19 +243,19 @@ let generate (a : Analysis.t) =
               | Component.Alu alu -> Emitter.line em (alu_assignment is_memory c.name alu)
               | Component.Selector sel -> emit_selector em is_memory c.name sel
               | Component.Memory _ -> assert false)
-            a.Analysis.order;
+            (Lower.order a);
           emit_trace_line em a is_memory;
-          let mems = memory_parts a in
+          let mems = Lower.memory_parts a in
           List.iter
-            (fun (name, (m : Component.memory)) ->
+            (fun (name, (m : Component.memory), _) ->
               Emitter.linef em "adr%s = %s;" name (expr is_memory m.addr);
               match Lower.memory_const_op m with
               | Some _ -> ()
               | None -> Emitter.linef em "opn%s = %s;" name (expr is_memory m.op))
             mems;
           List.iter
-            (fun (name, m) ->
-              emit_memory_update em is_memory ~elide:(Lower.temp_elidable a name) name m;
+            (fun (name, m, elide) ->
+              emit_memory_update em is_memory ~elide name m;
               emit_memory_trace em name m)
             mems);
       Emitter.line em "}";

@@ -58,12 +58,29 @@ let alu_const_function (alu : Component.alu) =
 
 let memory_const_op (m : Component.memory) = Expr.const_value m.op
 
-let temp_elidable (analysis : Asim_analysis.Analysis.t) name =
-  (not (Asim_analysis.Analysis.memory_output_used analysis name))
-  &&
-  match Spec.find analysis.Asim_analysis.Analysis.spec name with
-  | Some { Component.kind = Component.Memory m; _ } -> (
-      match memory_const_op m with
-      | Some op -> op land 3 <= 1 (* read or write; no I/O side effects *)
-      | None -> false)
-  | Some _ | None -> false
+module Analysis = Asim_analysis.Analysis
+
+let temp_elidable (a : Analysis.t) =
+  let used = Analysis.memory_output_used a in
+  fun id ->
+    (not (used id))
+    &&
+    match a.Analysis.comps.(id).Component.kind with
+    | Component.Memory m -> (
+        match memory_const_op m with
+        | Some op -> op land 3 <= 1 (* read or write; no I/O side effects *)
+        | None -> false)
+    | Component.Alu _ | Component.Selector _ -> false
+
+let memory_parts (a : Analysis.t) =
+  let elidable = temp_elidable a in
+  Array.to_list a.Analysis.memories
+  |> List.map (fun id ->
+         match a.Analysis.comps.(id) with
+         | { Component.name; kind = Component.Memory m } -> (name, m, elidable id)
+         | _ -> assert false)
+
+let order (a : Analysis.t) =
+  Array.to_list (Array.map (fun id -> a.Analysis.comps.(id)) a.Analysis.order)
+
+let is_memory (a : Analysis.t) name = Component.is_memory a.Analysis.comps.(Analysis.id a name)

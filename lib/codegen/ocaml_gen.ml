@@ -61,30 +61,24 @@ let emit_prelude em =
   l "  | 1 -> Printf.printf \"%d\\n\" data";
   l "  | _ -> Printf.printf \"Output to address %d: %d\\n\" address data"
 
-let memory_parts (a : Analysis.t) =
-  List.filter_map
-    (fun (c : Component.t) ->
-      match c.kind with Component.Memory m -> Some (c.name, m) | _ -> None)
-    a.Analysis.spec.Spec.components
-
 let emit_state em (a : Analysis.t) =
   List.iter
-    (fun (name, (m : Component.memory)) ->
+    (fun (name, (m : Component.memory), elide) ->
       Emitter.linef em "let mem%s = Array.make %d 0" name m.cells;
-      if not (Lower.temp_elidable a name) then
+      if not elide then
         Emitter.linef em "let temp%s = ref 0" name;
       Emitter.linef em "let adr%s = ref 0" name;
       Emitter.linef em "let opn%s = ref 0" name)
-    (memory_parts a);
+    (Lower.memory_parts a);
   List.iter
     (fun (c : Component.t) -> Emitter.linef em "let ljb%s = ref 0" c.name)
-    a.Analysis.order;
+    (Lower.order a);
   Emitter.blank em;
   Emitter.line em "let initvalues () =";
   Emitter.indented em (fun () ->
       let any = ref false in
       List.iter
-        (fun (name, (m : Component.memory)) ->
+        (fun (name, (m : Component.memory), _) ->
           match m.init with
           | None -> ()
           | Some values ->
@@ -94,7 +88,7 @@ let emit_state em (a : Analysis.t) =
               in
               Emitter.linef em "List.iteri (fun i v -> mem%s.(i) <- v) [ %s ];" name
                 values)
-        (memory_parts a);
+        (Lower.memory_parts a);
       if not !any then Emitter.line em "();";
       Emitter.line em "()")
 
@@ -215,11 +209,7 @@ let emit_memory_trace em name (m : Component.memory) =
 
 let generate (a : Analysis.t) =
   let spec = a.Analysis.spec in
-  let is_memory name =
-    match Spec.find spec name with
-    | Some c -> Component.is_memory c
-    | None -> false
-  in
+  let is_memory = Lower.is_memory a in
   let em = Emitter.create () in
   Emitter.linef em "(* #%s *)" spec.Spec.comment;
   Emitter.linef em "(* generated by asim; do not edit *)";
@@ -244,19 +234,19 @@ let generate (a : Analysis.t) =
                   Emitter.line em (alu_assignment is_memory c.name alu)
               | Component.Selector sel -> emit_selector em is_memory c.name sel
               | Component.Memory _ -> assert false)
-            a.Analysis.order;
+            (Lower.order a);
           emit_trace_line em a is_memory;
-          let mems = memory_parts a in
+          let mems = Lower.memory_parts a in
           List.iter
-            (fun (name, (m : Component.memory)) ->
+            (fun (name, (m : Component.memory), _) ->
               Emitter.linef em "adr%s := %s;" name (expr is_memory m.addr);
               match Lower.memory_const_op m with
               | Some _ -> ()
               | None -> Emitter.linef em "opn%s := %s;" name (expr is_memory m.op))
             mems;
           List.iter
-            (fun (name, m) ->
-              emit_memory_update em is_memory ~elide:(Lower.temp_elidable a name) name m;
+            (fun (name, m, elide) ->
+              emit_memory_update em is_memory ~elide name m;
               emit_memory_trace em name m)
             mems);
       Emitter.line em "done");

@@ -101,32 +101,26 @@ let emit_io em =
 
 (* --- per-spec sections --------------------------------------------------- *)
 
-let memory_parts (a : Analysis.t) =
-  List.filter_map
-    (fun (c : Component.t) ->
-      match c.kind with Component.Memory m -> Some (c.name, m) | _ -> None)
-    a.Analysis.spec.Spec.components
-
 let emit_vars em (a : Analysis.t) =
   let comb_names =
-    List.map (fun (c : Component.t) -> "ljb" ^ c.name) a.Analysis.order
+    List.map (fun (c : Component.t) -> "ljb" ^ c.name) (Lower.order a)
   in
   let mem_names =
     List.concat_map
-      (fun (name, _) ->
+      (fun (name, _, elide) ->
         (* §5.4 heuristic: no temporary for never-read outputs *)
-        if Lower.temp_elidable a name then [ "adr" ^ name; "opn" ^ name ]
+        if elide then [ "adr" ^ name; "opn" ^ name ]
         else [ "temp" ^ name; "adr" ^ name; "opn" ^ name ])
-      (memory_parts a)
+      (Lower.memory_parts a)
   in
   (match comb_names @ mem_names with
   | [] -> ()
   | names -> Emitter.linef em "var %s: integer;" (String.concat ", " names));
   Emitter.line em "  cycles, cyclecount: integer;";
   List.iter
-    (fun (name, (m : Component.memory)) ->
+    (fun (name, (m : Component.memory), _) ->
       Emitter.linef em "  ljb%s: array[0..%d] of integer;" name (m.cells - 1))
-    (memory_parts a)
+    (Lower.memory_parts a)
 
 let emit_initvalues em (a : Analysis.t) =
   let l = Emitter.line em in
@@ -135,7 +129,7 @@ let emit_initvalues em (a : Analysis.t) =
   l "begin";
   Emitter.indented em (fun () ->
       List.iter
-        (fun (name, (m : Component.memory)) ->
+        (fun (name, (m : Component.memory), elide) ->
           (match m.init with
           | Some values ->
               Array.iteri
@@ -144,9 +138,9 @@ let emit_initvalues em (a : Analysis.t) =
           | None ->
               Emitter.linef em "for i := 0 to %d do" (m.cells - 1);
               Emitter.linef em "  ljb%s[i] := 0;" name);
-          if not (Lower.temp_elidable a name) then
+          if not elide then
             Emitter.linef em "temp%s := 0;" name)
-        (memory_parts a));
+        (Lower.memory_parts a));
   l "end; {initvalues}"
 
 let alu_assignment is_memory name (alu : Component.alu) =
@@ -270,11 +264,7 @@ let emit_memory_trace em name (m : Component.memory) =
 
 let generate (a : Analysis.t) =
   let spec = a.Analysis.spec in
-  let is_memory name =
-    match Spec.find spec name with
-    | Some c -> Component.is_memory c
-    | None -> false
-  in
+  let is_memory = Lower.is_memory a in
   let em = Emitter.create () in
   Emitter.line em "program simulator(input, output);";
   Emitter.linef em "{#%s}" spec.Spec.comment;
@@ -303,19 +293,19 @@ let generate (a : Analysis.t) =
                   List.iter (Emitter.line em) (alu_assignment is_memory c.name alu)
               | Component.Selector sel -> emit_selector em is_memory c.name sel
               | Component.Memory _ -> assert false)
-            a.Analysis.order;
+            (Lower.order a);
           emit_trace_line em a is_memory;
-          let mems = memory_parts a in
+          let mems = Lower.memory_parts a in
           List.iter
-            (fun (name, (m : Component.memory)) ->
+            (fun (name, (m : Component.memory), _) ->
               Emitter.linef em "adr%s := %s;" name (expr is_memory m.addr);
               match Lower.memory_const_op m with
               | Some _ -> ()
               | None -> Emitter.linef em "opn%s := %s;" name (expr is_memory m.op))
             mems;
           List.iter
-            (fun (name, m) ->
-              emit_memory_update em is_memory ~elide:(Lower.temp_elidable a name) name m;
+            (fun (name, m, elide) ->
+              emit_memory_update em is_memory ~elide name m;
               emit_memory_trace em name m)
             mems;
           Emitter.line em "cyclecount := cyclecount + 1");

@@ -86,24 +86,14 @@ let emit_dologic em =
   l "  end";
   l "endfunction"
 
-let memory_parts (a : Analysis.t) =
-  List.filter_map
-    (fun (c : Component.t) ->
-      match c.kind with Component.Memory m -> Some (c.name, m) | _ -> None)
-    a.Analysis.spec.Spec.components
-
 let generate (a : Analysis.t) =
   let spec = a.Analysis.spec in
-  let is_memory name =
-    match Spec.find spec name with
-    | Some c -> Component.is_memory c
-    | None -> false
-  in
+  let is_memory = Lower.is_memory a in
   let e = expr is_memory in
   let em = Emitter.create () in
   let traced = Spec.traced_names spec in
   let io_memories =
-    List.filter (fun (_, m) -> Analysis.memory_io_possible m) (memory_parts a)
+    List.filter (fun (_, m, _) -> Analysis.memory_io_possible m) (Lower.memory_parts a)
   in
   Emitter.linef em "// #%s" spec.Spec.comment;
   Emitter.line em "// generated by asim; do not edit";
@@ -113,7 +103,7 @@ let generate (a : Analysis.t) =
   let ports =
     [ "input wire clk" ]
     @ List.concat_map
-        (fun (name, _) ->
+        (fun (name, _, _) ->
           [
             Printf.sprintf "input wire [30:0] %s_io_rdata" name;
             Printf.sprintf "output wire [30:0] %s_io_addr" name;
@@ -143,22 +133,22 @@ let generate (a : Analysis.t) =
       List.iter
         (fun (c : Component.t) ->
           Emitter.linef em "reg [30:0] %s;" c.name)
-        a.Analysis.order;
+        (Lower.order a);
       List.iter
-        (fun (name, (m : Component.memory)) ->
+        (fun (name, (m : Component.memory), _) ->
           Emitter.linef em "reg [30:0] %s_mem [0:%d];" name (m.cells - 1);
           Emitter.linef em "reg [30:0] %s_q;" name;
           Emitter.linef em "wire [30:0] %s_addr = %s;" name (e m.addr);
           Emitter.linef em "wire [30:0] %s_op = %s;" name (e m.op);
           Emitter.linef em "wire [30:0] %s_data = %s;" name (e m.data))
-        (memory_parts a);
+        (Lower.memory_parts a);
       Emitter.blank em;
       (* initialization *)
       Emitter.line em "integer i;";
       Emitter.line em "initial begin";
       Emitter.indented em (fun () ->
           List.iter
-            (fun (name, (m : Component.memory)) ->
+            (fun (name, (m : Component.memory), _) ->
               Emitter.linef em "%s_q = 31'd0;" name;
               match m.init with
               | None ->
@@ -170,7 +160,7 @@ let generate (a : Analysis.t) =
                       Emitter.linef em "%s_mem[%d] = 31'd%d;" name i
                         (v land Bits.mask))
                     values)
-            (memory_parts a));
+            (Lower.memory_parts a));
       Emitter.line em "end";
       Emitter.blank em;
       (* combinational components, in dependency order *)
@@ -190,12 +180,12 @@ let generate (a : Analysis.t) =
                   Emitter.linef em "  default: %s = 31'bx;" c.name;
                   Emitter.line em "endcase"
               | Component.Memory _ -> assert false)
-            a.Analysis.order);
+            (Lower.order a));
       Emitter.line em "end";
       Emitter.blank em;
       (* state elements *)
       List.iter
-        (fun (name, (m : Component.memory)) ->
+        (fun (name, (m : Component.memory), _) ->
           let has_io = Analysis.memory_io_possible m in
           Emitter.linef em "always @(posedge clk) begin : update_%s" name;
           Emitter.indented em (fun () ->
@@ -210,11 +200,11 @@ let generate (a : Analysis.t) =
               Emitter.linef em "  2'd3: %s_q <= %s_data;" name name;
               Emitter.line em "endcase");
           Emitter.line em "end")
-        (memory_parts a);
+        (Lower.memory_parts a);
       Emitter.blank em;
       (* I/O strobes *)
       List.iter
-        (fun (name, _) ->
+        (fun (name, _, _) ->
           Emitter.linef em "assign %s_io_addr = %s_addr;" name name;
           Emitter.linef em "assign %s_io_wdata = %s_data;" name name;
           Emitter.linef em "assign %s_io_read = (%s_op[1:0] == 2'd2);" name name;

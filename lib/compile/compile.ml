@@ -12,21 +12,12 @@ let force = function Cst v -> (fun () -> v) | Fn f -> f
 
 let value_of = function Cst v -> Some v | Fn _ -> None
 
-type ctx = {
-  ids : (string, int) Hashtbl.t;
-  vals : int array;
-  cycle : int ref;
-  fold : bool;
-}
+type ctx = { vals : int array; cycle : int ref; fold : bool }
 
-let component_id ctx name =
-  match Hashtbl.find_opt ctx.ids name with
-  | Some id -> id
-  | None -> Error.failf Error.Analysis "Component <%s> not found." name
-
-(* One atom, placed with its least-significant bit at [numbits]; returns the
-   compiled contribution and the new bit position. *)
-let compile_atom ctx numbits atom =
+(* One atom, placed with its least-significant bit at [numbits]; [id] is
+   the slot a reference reads.  Returns the compiled contribution and the
+   new bit position. *)
+let compile_atom ctx numbits id atom =
   match atom with
   | Expr.Const { number; width } -> (
       let v = Number.value number in
@@ -38,8 +29,7 @@ let compile_atom ctx numbits atom =
   | Expr.Bitstring s ->
       let v = String.fold_left (fun acc c -> (acc * 2) + if c = '1' then 1 else 0) 0 s in
       (Cst (v lsl numbits), numbits + String.length s)
-  | Expr.Ref { name; field } -> (
-      let id = component_id ctx name in
+  | Expr.Ref { field; _ } -> (
       let vals = ctx.vals in
       match field with
       | Expr.Whole ->
@@ -73,14 +63,18 @@ let compile_atom ctx numbits atom =
           in
           (Fn f, numbits + (hi - lo + 1)))
 
-let compile_expr ctx (e : Expr.t) =
-  let rec build numbits = function
-    | [] -> []
+(* [next] hands out the references' ids left to right; atoms are placed
+   right to left, and [parts] lists them in placement order. *)
+let compile_expr ctx next (e : Expr.t) =
+  let rec build = function
+    | [] -> ([], 0)
     | atom :: rest ->
-        let compiled, numbits = compile_atom ctx numbits atom in
-        compiled :: build numbits rest
+        let id = match atom with Expr.Ref _ -> next () | _ -> -1 in
+        let parts, numbits = build rest in
+        let compiled, numbits = compile_atom ctx numbits id atom in
+        (compiled :: parts, numbits)
   in
-  let parts = build 0 (List.rev e) in
+  let parts = List.rev (fst (build e)) in
   let constant = List.fold_left (fun acc p -> match p with Cst v -> acc + v | Fn _ -> acc) 0 parts in
   let fns = List.filter_map (fun p -> match p with Fn f -> Some f | Cst _ -> None) parts in
   if ctx.fold then
@@ -100,9 +94,12 @@ let compile_expr ctx (e : Expr.t) =
 
 (* --- components --------------------------------------------------------- *)
 
-let compile_alu ctx name ({ fn; left; right } : Component.alu) =
-  let l = force (compile_expr ctx left) and r = force (compile_expr ctx right) in
-  let fc = compile_expr ctx fn in
+(* Expressions are compiled in [Component.inputs] order, so [next] stays in
+   step. *)
+let compile_alu ctx next ({ fn; left; right } : Component.alu) =
+  let fc = compile_expr ctx next fn in
+  let l = force (compile_expr ctx next left) in
+  let r = force (compile_expr ctx next right) in
   match (ctx.fold, value_of fc) with
   | true, Some code -> (
       (* §4.4: constant function — generate the operation inline instead of
@@ -128,13 +125,12 @@ let compile_alu ctx name ({ fn; left; right } : Component.alu) =
       | Component.Fn_eq -> fun () -> if l () = r () then 1 else 0
       | Component.Fn_lt -> fun () -> if l () < r () then 1 else 0)
   | _ ->
-      ignore name;
       let f = force fc in
       fun () -> Component.apply_alu_code (f ()) ~left:(l ()) ~right:(r ())
 
-let compile_selector ctx name ({ select; cases } : Component.selector) =
-  let sel = force (compile_expr ctx select) in
-  let compiled = Array.map (fun case -> force (compile_expr ctx case)) cases in
+let compile_selector ctx next name ({ select; cases } : Component.selector) =
+  let sel = force (compile_expr ctx next select) in
+  let compiled = Array.map (fun case -> force (compile_expr ctx next case)) cases in
   let n = Array.length compiled in
   let cycle = ctx.cycle in
   fun () ->
@@ -144,7 +140,6 @@ let compile_selector ctx name ({ select; cases } : Component.selector) =
     else compiled.(index) ()
 
 type compiled_memory = {
-  cm_name : string;
   cm_id : int;  (** slot of the temporary (registered output) *)
   cm_cells : int array;
   mutable cm_addr : int;
@@ -153,14 +148,14 @@ type compiled_memory = {
   mutable cm_update : unit -> unit;
 }
 
-let compile_memory ctx ~config ~stats (c_name : string) (m : Component.memory) =
-  let id = component_id ctx c_name in
+let compile_memory ctx next ~config ~stats ~id (c_name : string) (m : Component.memory) =
   let cells =
     match m.init with Some values -> Array.copy values | None -> Array.make m.cells 0
   in
-  let addr = force (compile_expr ctx m.addr) in
-  let op_c = compile_expr ctx m.op in
-  let data = force (compile_expr ctx m.data) in
+  let addr = force (compile_expr ctx next m.addr) in
+  let data = force (compile_expr ctx next m.data) in
+  let op_c = compile_expr ctx next m.op in
+  let counters = Stats.memory stats c_name in
   let vals = ctx.vals and cycle = ctx.cycle in
   let ncells = Array.length cells in
   let io = config.Machine.io and trace = config.Machine.trace in
@@ -170,7 +165,6 @@ let compile_memory ctx ~config ~stats (c_name : string) (m : Component.memory) =
   in
   let rec cm =
     {
-      cm_name = c_name;
       cm_id = id;
       cm_cells = cells;
       cm_addr = 0;
@@ -182,22 +176,22 @@ let compile_memory ctx ~config ~stats (c_name : string) (m : Component.memory) =
     let a = cm.cm_addr in
     check_address a;
     vals.(id) <- cells.(a);
-    Stats.count_op stats c_name Component.Op_read
+    counters.Stats.reads <- counters.Stats.reads + 1
   and do_write () =
     let a = cm.cm_addr in
     check_address a;
     let v = data () in
     vals.(id) <- v;
     cells.(a) <- v;
-    Stats.count_op stats c_name Component.Op_write
+    counters.Stats.writes <- counters.Stats.writes + 1
   and do_input () =
     vals.(id) <- io.Io.input ~address:cm.cm_addr;
-    Stats.count_op stats c_name Component.Op_input
+    counters.Stats.inputs <- counters.Stats.inputs + 1
   and do_output () =
     let v = data () in
     vals.(id) <- v;
     io.Io.output ~address:cm.cm_addr ~data:v;
-    Stats.count_op stats c_name Component.Op_output
+    counters.Stats.outputs <- counters.Stats.outputs + 1
   in
   let action_of = function
     | Component.Op_read -> do_read
@@ -250,13 +244,12 @@ let compile_memory ctx ~config ~stats (c_name : string) (m : Component.memory) =
 
 let create ?(config = Machine.default_config) ?(optimize = true) ?prof
     (analysis : Asim_analysis.Analysis.t) =
-  let spec = analysis.Asim_analysis.Analysis.spec in
-  let components = spec.Spec.components in
-  let ids = Hashtbl.create 64 in
-  List.iteri (fun i (c : Component.t) -> Hashtbl.replace ids c.name i) components;
-  let vals = Array.make (List.length components) 0 in
+  let module A = Asim_analysis.Analysis in
+  let spec = analysis.A.spec and comps = analysis.A.comps in
+  let vals = Array.make (Array.length comps) 0 in
   let cycle = ref 0 in
-  let ctx = { ids; vals; cycle; fold = optimize } in
+  let ctx = { vals; cycle; fold = optimize } in
+  let name id = comps.(id).Component.name in
   (* Profiling is decided at compile time: instrumented closures are only
      built when a profile is attached, so the off path is the same closure
      graph as always. *)
@@ -266,13 +259,7 @@ let create ?(config = Machine.default_config) ?(optimize = true) ?prof
     | Some p ->
         { config with Machine.io = Asim_prof.Prof.instrument_io p config.Machine.io }
   in
-  let stats =
-    Stats.create
-      ~memories:
-        (List.map
-           (fun (c : Component.t) -> c.name)
-           analysis.Asim_analysis.Analysis.memories)
-  in
+  let stats = Stats.create ~memories:(Array.to_list (Array.map name analysis.A.memories)) in
   (match prof with
   | None -> ()
   | Some p ->
@@ -295,10 +282,10 @@ let create ?(config = Machine.default_config) ?(optimize = true) ?prof
           pe.(id) <- pe.(id) + 1
   in
   let fault_targets = Fault.targets config.Machine.faults in
-  let with_fault name f =
+  let with_fault id f =
+    let name = name id in
     if List.mem name fault_targets then (fun () ->
       f ();
-      let id = component_id ctx name in
       let old = vals.(id) in
       let v =
         Fault.apply config.Machine.faults ~cycle:!cycle ~component:name old
@@ -309,34 +296,32 @@ let create ?(config = Machine.default_config) ?(optimize = true) ?prof
   in
   (* Combinational steps, in dependency order. *)
   let comb_steps =
-    analysis.Asim_analysis.Analysis.order
-    |> List.map (fun (c : Component.t) ->
-           let id = component_id ctx c.name in
+    analysis.A.order
+    |> Array.map (fun id ->
+           let next = A.reader analysis.A.refs.(id) in
            let body =
-             match c.kind with
-             | Component.Alu alu -> compile_alu ctx c.name alu
-             | Component.Selector sel -> compile_selector ctx c.name sel
+             match comps.(id).Component.kind with
+             | Component.Alu alu -> compile_alu ctx next alu
+             | Component.Selector sel -> compile_selector ctx next (name id) sel
              | Component.Memory _ -> assert false
            in
-           with_fault c.name (count_eval id (fun () -> vals.(id) <- body ())))
-    |> Array.of_list
+           with_fault id (count_eval id (fun () -> vals.(id) <- body ())))
   in
   let memories =
-    List.map
-      (fun (c : Component.t) ->
-        match c.kind with
-        | Component.Memory m ->
-            let cm = compile_memory ctx ~config ~stats c.name m in
-            { cm with cm_update = with_fault c.name cm.cm_update }
-        | Component.Alu _ | Component.Selector _ -> assert false)
-      analysis.Asim_analysis.Analysis.memories
-    |> Array.of_list
+    analysis.A.memories
+    |> Array.map (fun id ->
+           match comps.(id).Component.kind with
+           | Component.Memory m ->
+               let next = A.reader analysis.A.refs.(id) in
+               let cm = compile_memory ctx next ~config ~stats ~id (name id) m in
+               { cm with cm_update = with_fault id cm.cm_update }
+           | Component.Alu _ | Component.Selector _ -> assert false)
   in
   (* Trace emitter for the per-cycle line. *)
   let trace = config.Machine.trace in
   let traced =
     Spec.traced_names spec
-    |> List.map (fun name -> (name, component_id ctx name))
+    |> List.map (fun name -> (name, A.id analysis name))
     |> Array.of_list
   in
   let emit_cycle_line =
@@ -365,11 +350,7 @@ let create ?(config = Machine.default_config) ?(optimize = true) ?prof
     incr cycle;
     Stats.bump_cycle stats
   in
-  let memory_by_name name =
-    match Array.find_opt (fun cm -> String.equal cm.cm_name name) memories with
-    | Some cm -> cm
-    | None -> Error.failf Error.Runtime "Component <%s> is not a memory." name
-  in
+  let memory_by_name name = memories.(A.memory analysis name) in
   let read_cell name index =
     let cm = memory_by_name name in
     if index < 0 || index >= Array.length cm.cm_cells then
@@ -385,7 +366,7 @@ let create ?(config = Machine.default_config) ?(optimize = true) ?prof
   {
     Machine.analysis;
     step;
-    read = (fun name -> vals.(component_id ctx name));
+    read = (fun name -> vals.(A.id analysis name));
     read_cell;
     write_cell;
     current_cycle = (fun () -> !cycle);

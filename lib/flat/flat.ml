@@ -54,11 +54,6 @@ let emit e v =
 
 (* --- expression flattening ---------------------------------------------- *)
 
-let component_id ids name =
-  match Hashtbl.find_opt ids name with
-  | Some id -> id
-  | None -> Error.failf Error.Analysis "Component <%s> not found." name
-
 (* One reference atom, placed with its least-significant bit at the shift.
    [t_mask = -1] encodes a whole-word reference (no masking); a negative
    [t_shift] means shift right by [-t_shift]. *)
@@ -66,10 +61,11 @@ type term = { t_src : int; t_mask : int; t_shift : int }
 
 (* Mirror of [Asim_compile.compile_atom]'s width accounting: the constant
    part folds into one int, every reference becomes a (src, mask, shift)
-   term; the expression value is [const + sum of terms]. *)
-let flatten ids (expr : Expr.t) =
+   term; the expression value is [const + sum of terms].  [next] hands out
+   the references' ids left to right; atoms are placed right to left. *)
+let flatten next (expr : Expr.t) =
   let const = ref 0 and terms = ref [] in
-  let place numbits atom =
+  let place numbits src atom =
     match atom with
     | Expr.Const { number; width } -> (
         let v = Number.value number in
@@ -87,8 +83,7 @@ let flatten ids (expr : Expr.t) =
         in
         const := !const + (v lsl numbits);
         numbits + String.length s
-    | Expr.Ref { name; field } -> (
-        let src = component_id ids name in
+    | Expr.Ref { field; _ } -> (
         match field with
         | Expr.Whole ->
             terms := { t_src = src; t_mask = -1; t_shift = numbits } :: !terms;
@@ -104,11 +99,13 @@ let flatten ids (expr : Expr.t) =
             terms := { t_src = src; t_mask = mask; t_shift = numbits - lo } :: !terms;
             numbits + (hi - lo + 1))
   in
-  let rec go numbits = function
-    | [] -> ()
-    | atom :: rest -> go (place numbits atom) rest
+  let rec go = function
+    | [] -> 0
+    | atom :: rest ->
+        let src = match atom with Expr.Ref _ -> next () | _ -> -1 in
+        place (go rest) src atom
   in
-  go 0 (List.rev expr);
+  ignore (go expr : int);
   (!const, List.rev !terms)
 
 (* Peephole: fuse adjacent term loads of the same source with the same
@@ -166,16 +163,15 @@ let emit_flat e refs (const, terms) =
         emit e (-t_shift)))
     terms
 
-let emit_expr e ids refs expr = emit_flat e refs (flatten ids expr)
-
 (* --- component blocks --------------------------------------------------- *)
 
-let emit_alu e ids refs ({ fn; left; right } : Component.alu) =
-  (* Both operands are flattened unconditionally so missing-name errors
-     surface at compile time exactly as in [Asim_compile]; only the
-     operands an ALU function actually consumes are emitted (and hence
-     scheduled on). *)
-  let fl = flatten ids left and fr = flatten ids right in
+let emit_alu e next refs ({ fn; left; right } : Component.alu) =
+  (* All three expressions are flattened, in [Component.inputs] order, so
+     [next] stays in step; only the operands an ALU function actually
+     consumes are emitted (and hence scheduled on). *)
+  let ff = flatten next fn in
+  let fl = flatten next left in
+  let fr = flatten next right in
   let use flat = emit_flat e refs flat in
   let binary op =
     use fl;
@@ -184,7 +180,7 @@ let emit_alu e ids refs ({ fn; left; right } : Component.alu) =
     emit e op;
     emit e op_ret
   in
-  match flatten ids fn with
+  match ff with
   | code, [] -> (
       (* §4.4: constant function — specialize the operation inline. *)
       match Component.alu_function_of_code code with
@@ -220,17 +216,19 @@ let emit_alu e ids refs ({ fn; left; right } : Component.alu) =
       emit e op_dyn;
       emit e op_ret
 
-let emit_selector e ids refs comp_id ({ select; cases } : Component.selector) =
-  match flatten ids select with
+let emit_selector e next refs comp_id ({ select; cases } : Component.selector) =
+  let fs = flatten next select in
+  let fcases = Array.map (flatten next) cases in
+  match fs with
   | c, [] when c >= 0 && c < Array.length cases ->
       (* Peephole: the control input is a compile-time constant in range, so
          the dispatch (and every dead case block) folds away.  An
          out-of-range constant keeps the op_sel so the runtime range error
          still raises every cycle. *)
-      emit_expr e ids refs cases.(c);
+      emit_flat e refs fcases.(c);
       emit e op_ret
   | _ ->
-      emit_expr e ids refs select;
+      emit_flat e refs fs;
       emit e op_sel;
       emit e comp_id;
       let n = Array.length cases in
@@ -242,9 +240,9 @@ let emit_selector e ids refs comp_id ({ select; cases } : Component.selector) =
       Array.iteri
         (fun i case ->
           e.buf.(slots + i) <- e.len;
-          emit_expr e ids refs case;
+          emit_flat e refs case;
           emit e op_ret)
-        cases
+        fcases
 
 (* --- compiled program --------------------------------------------------- *)
 
@@ -268,7 +266,6 @@ type mem_desc = {
 type program = {
   p_code : int array;
   p_names : string array;  (** by component slot *)
-  p_ids : (string, int) Hashtbl.t;
   p_comb_entry : int array;  (** block entry pc, by evaluation-order position *)
   p_comb_id : int array;  (** output slot, by evaluation-order position *)
   p_mems : mem_desc array;  (** in declaration order *)
@@ -289,34 +286,28 @@ let skew_env = "ASIM_FLAT_SKEW"
 
 let compile ?(tracer = Asim_obs.Tracer.null)
     (analysis : Asim_analysis.Analysis.t) =
-  let spec = analysis.Asim_analysis.Analysis.spec in
-  let components = spec.Spec.components in
-  let ncomp = List.length components in
+  let comps = analysis.Asim_analysis.Analysis.comps in
+  let arefs = analysis.Asim_analysis.Analysis.refs in
+  let ncomp = Array.length comps in
   Asim_obs.Tracer.span tracer
     ~args:[ ("components", string_of_int ncomp) ]
     "codegen.flat.compile"
   @@ fun () ->
-  let ids = Hashtbl.create (max 16 ncomp) in
-  List.iteri (fun i (c : Component.t) -> Hashtbl.replace ids c.name i) components;
   let names = Array.make (max 1 ncomp) "" in
-  List.iter
-    (fun (c : Component.t) -> names.(component_id ids c.name) <- c.name)
-    components;
+  Array.iteri (fun i (c : Component.t) -> names.(i) <- c.name) comps;
   let order = analysis.Asim_analysis.Analysis.order in
-  let ncomb = List.length order in
+  let ncomb = Array.length order in
   let comb_entry = Array.make ncomb 0 in
-  let comb_id = Array.make ncomb 0 in
   let dependents = Array.make ncomp [] in
   let e = emitter () in
-  List.iteri
-    (fun pos (c : Component.t) ->
+  Array.iteri
+    (fun pos id ->
       comb_entry.(pos) <- e.len;
-      let id = component_id ids c.name in
-      comb_id.(pos) <- id;
+      let next = Asim_analysis.Analysis.reader arefs.(id) in
       let refs = ref [] in
-      (match c.kind with
-      | Component.Alu alu -> emit_alu e ids refs alu
-      | Component.Selector sel -> emit_selector e ids refs id sel
+      (match comps.(id).Component.kind with
+      | Component.Alu alu -> emit_alu e next refs alu
+      | Component.Selector sel -> emit_selector e next refs id sel
       | Component.Memory _ -> assert false);
       List.sort_uniq compare !refs
       |> List.iter (fun src -> dependents.(src) <- pos :: dependents.(src)))
@@ -327,22 +318,26 @@ let compile ?(tracer = Asim_obs.Tracer.null)
   let off = ref 0 in
   let mems =
     analysis.Asim_analysis.Analysis.memories
-    |> List.map (fun (c : Component.t) ->
-           match c.kind with
+    |> Array.map (fun id ->
+           match comps.(id).Component.kind with
            | Component.Memory m ->
+               let next = Asim_analysis.Analysis.reader arefs.(id) in
+               let addr = flatten next m.addr in
+               let data = flatten next m.data in
+               let op = flatten next m.op in
                let addr_pc = e.len in
-               emit_expr e ids sink m.addr;
+               emit_flat e sink addr;
                emit e op_ret;
                let op_pc = e.len in
-               emit_expr e ids sink m.op;
+               emit_flat e sink op;
                emit e op_ret;
                let data_pc = e.len in
-               emit_expr e ids sink m.data;
+               emit_flat e sink data;
                emit e op_ret;
                let d =
                  {
-                   m_id = component_id ids c.name;
-                   m_name = c.name;
+                   m_id = id;
+                   m_name = names.(id);
                    m_addr_pc = addr_pc;
                    m_op_pc = op_pc;
                    m_data_pc = data_pc;
@@ -354,7 +349,6 @@ let compile ?(tracer = Asim_obs.Tracer.null)
                off := !off + m.cells;
                d
            | Component.Alu _ | Component.Selector _ -> assert false)
-    |> Array.of_list
   in
   let dep_off = Array.make ncomp 0 and dep_len = Array.make ncomp 0 in
   let total = Array.fold_left (fun acc l -> acc + List.length l) 0 dependents in
@@ -377,9 +371,8 @@ let compile ?(tracer = Asim_obs.Tracer.null)
   {
     p_code = Array.sub e.buf 0 e.len;
     p_names = names;
-    p_ids = ids;
     p_comb_entry = comb_entry;
-    p_comb_id = comb_id;
+    p_comb_id = order;
     p_mems = mems;
     p_cells_len = !off;
     p_deps = deps;
@@ -652,7 +645,8 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
     done
   in
   let mems = p.p_mems in
-  let mcount = Array.map (fun m -> Stats.memory stats m.m_name) mems in
+  (* [stats] lists the memories as created above: in [mems] order. *)
+  let mcount = Array.of_list (List.map snd (Stats.per_memory stats)) in
   let mfault = Array.map (fun m -> List.mem m.m_name fault_targets) mems in
   let snap k =
     let m = Array.unsafe_get mems k in
@@ -710,7 +704,7 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
   in
   let traced =
     Spec.traced_names analysis.Asim_analysis.Analysis.spec
-    |> List.map (fun name -> (name, component_id p.p_ids name))
+    |> List.map (fun name -> (name, Asim_analysis.Analysis.id analysis name))
     |> Array.of_list
   in
   let emit_cycle_line =
@@ -842,11 +836,7 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
           incr cycle;
           Stats.bump_cycle stats
   in
-  let mem_by_name name =
-    match Array.find_opt (fun m -> String.equal m.m_name name) mems with
-    | Some m -> m
-    | None -> Error.failf Error.Runtime "Component <%s> is not a memory." name
-  in
+  let mem_by_name name = mems.(Asim_analysis.Analysis.memory analysis name) in
   let read_cell name index =
     let m = mem_by_name name in
     if index < 0 || index >= m.m_len then
@@ -863,7 +853,7 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
     {
       Machine.analysis;
       step;
-      read = (fun name -> vals.(component_id p.p_ids name));
+      read = (fun name -> vals.(Asim_analysis.Analysis.id analysis name));
       read_cell;
       write_cell;
       current_cycle = (fun () -> !cycle);

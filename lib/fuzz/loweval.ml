@@ -37,20 +37,21 @@ type state = {
   mutable cycle : int;
 }
 
-let compile_expr ids e : prog =
-  Lower.lower e
-  |> List.map (function
-       | Lower.Const c -> Tconst c
-       | Lower.Field { name; mask; shift } -> (
-           let id =
-             match Hashtbl.find_opt ids name with
-             | Some id -> id
-             | None -> Error.failf Error.Analysis "Component <%s> not found." name
-           in
-           match mask with
-           | None -> Tfield { id; mask = 0; whole = true; shift }
-           | Some m -> Tfield { id; mask = m; whole = false; shift }))
-  |> Array.of_list
+(* [Lower.lower] lists one field per reference, left to right, so the
+   fields take [next]'s ids in turn. *)
+let compile_expr next e : prog =
+  List.fold_left
+    (fun acc term ->
+      (match term with
+      | Lower.Const c -> Tconst c
+      | Lower.Field { mask; shift; _ } -> (
+          let id = next () in
+          match mask with
+          | None -> Tfield { id; mask = 0; whole = true; shift }
+          | Some m -> Tfield { id; mask = m; whole = false; shift }))
+      :: acc)
+    [] (Lower.lower e)
+  |> List.rev |> Array.of_list
 
 let eval st (p : prog) =
   let acc = ref 0 in
@@ -130,46 +131,42 @@ let step st () =
   Stats.bump_cycle st.stats
 
 let create ?(config = Machine.default_config) (analysis : Asim_analysis.Analysis.t) =
-  let spec = analysis.Asim_analysis.Analysis.spec in
-  let components = spec.Spec.components in
-  let ids = Hashtbl.create 64 in
-  List.iteri (fun i (c : Component.t) -> Hashtbl.replace ids c.name i) components;
-  let id name = Hashtbl.find ids name in
+  let module A = Asim_analysis.Analysis in
+  let comps = analysis.A.comps in
+  let name id = comps.(id).Component.name in
+  (* Expressions are compiled in [Component.inputs] order, so [next] stays
+     in step. *)
   let combs =
-    analysis.Asim_analysis.Analysis.order
-    |> List.map (fun (c : Component.t) ->
-           match c.kind with
+    analysis.A.order
+    |> Array.map (fun id ->
+           let next = A.reader analysis.A.refs.(id) in
+           match comps.(id).Component.kind with
            | Component.Alu { fn; left; right } ->
-               Lalu
-                 {
-                   l_name = c.name;
-                   l_id = id c.name;
-                   l_fn = compile_expr ids fn;
-                   l_left = compile_expr ids left;
-                   l_right = compile_expr ids right;
-                 }
+               let l_fn = compile_expr next fn in
+               let l_left = compile_expr next left in
+               let l_right = compile_expr next right in
+               Lalu { l_name = name id; l_id = id; l_fn; l_left; l_right }
            | Component.Selector { select; cases } ->
-               Lsel
-                 {
-                   l_name = c.name;
-                   l_id = id c.name;
-                   l_select = compile_expr ids select;
-                   l_cases = Array.map (compile_expr ids) cases;
-                 }
+               let l_select = compile_expr next select in
+               let l_cases = Array.map (compile_expr next) cases in
+               Lsel { l_name = name id; l_id = id; l_select; l_cases }
            | Component.Memory _ -> assert false)
-    |> Array.of_list
   in
   let mems =
-    analysis.Asim_analysis.Analysis.memories
-    |> List.map (fun (c : Component.t) ->
-           match c.kind with
+    analysis.A.memories
+    |> Array.map (fun id ->
+           let next = A.reader analysis.A.refs.(id) in
+           match comps.(id).Component.kind with
            | Component.Memory m ->
+               let mm_addr = compile_expr next m.addr in
+               let mm_data = compile_expr next m.data in
+               let mm_op = compile_expr next m.op in
                {
-                 mm_name = c.name;
-                 mm_id = id c.name;
-                 mm_addr = compile_expr ids m.addr;
-                 mm_data = compile_expr ids m.data;
-                 mm_op = compile_expr ids m.op;
+                 mm_name = name id;
+                 mm_id = id;
+                 mm_addr;
+                 mm_data;
+                 mm_op;
                  mm_cells =
                    (match m.init with
                    | Some values -> Array.copy values
@@ -178,7 +175,6 @@ let create ?(config = Machine.default_config) (analysis : Asim_analysis.Analysis
                  mm_op_snap = 0;
                }
            | Component.Alu _ | Component.Selector _ -> assert false)
-    |> Array.of_list
   in
   let st =
     {
@@ -186,22 +182,18 @@ let create ?(config = Machine.default_config) (analysis : Asim_analysis.Analysis
       stats =
         Stats.create
           ~memories:(Array.to_list (Array.map (fun m -> m.mm_name) mems));
-      vals = Array.make (List.length components) 0;
+      vals = Array.make (Array.length comps) 0;
       combs;
       mems;
       traced =
-        Spec.traced_names spec
-        |> List.map (fun name -> (name, id name))
+        Spec.traced_names analysis.A.spec
+        |> List.map (fun name -> (name, A.id analysis name))
         |> Array.of_list;
       has_faults = config.Machine.faults <> [];
       cycle = 0;
     }
   in
-  let memory_by_name name =
-    match Array.find_opt (fun m -> String.equal m.mm_name name) mems with
-    | Some m -> m
-    | None -> Error.failf Error.Runtime "Component <%s> is not a memory." name
-  in
+  let memory_by_name name = mems.(A.memory analysis name) in
   let read_cell name index =
     let m = memory_by_name name in
     if index < 0 || index >= Array.length m.mm_cells then
@@ -214,11 +206,7 @@ let create ?(config = Machine.default_config) (analysis : Asim_analysis.Analysis
       invalid_arg "Loweval: cell index out of range"
     else m.mm_cells.(index) <- value
   in
-  let read name =
-    match Hashtbl.find_opt ids name with
-    | Some i -> st.vals.(i)
-    | None -> Error.failf Error.Runtime "Component <%s> not found." name
-  in
+  let read name = st.vals.(A.id analysis name) in
   {
     Machine.analysis;
     step = step st;

@@ -1,6 +1,5 @@
 open Asim_core
 module Analysis = Asim_analysis.Analysis
-module Width = Asim_analysis.Width
 
 type net = int
 
@@ -313,27 +312,25 @@ let memory_macro b ~io ~name (m : Component.memory) out =
 (* ------------------------------------------------------------------ *)
 
 let of_analysis ?(io = Asim_sim.Io.null) (analysis : Analysis.t) =
-  let spec = analysis.Analysis.spec in
-  let env = Width.infer spec in
-  let w_of (c : Component.t) =
-    max 1 (min Bits.word_bits (Width.component_width env c))
-  in
-  (* Recompute widths directly per component so pass-1 register outputs can
-     be allocated before their input cones exist. *)
+  let widths = Analysis.widths analysis in
+  let w_of id = max 1 (min Bits.word_bits widths.(id)) in
   let b = new_builder () in
   (* Pass 1: allocate every memory's registered output nets. *)
-  let memories = analysis.Analysis.memories in
+  let comps = analysis.Analysis.comps in
+  let memories = Array.to_list analysis.Analysis.memories in
   List.iter
-    (fun (c : Component.t) ->
-      let width = w_of c in
+    (fun id ->
+      let c = comps.(id) in
+      let width = w_of id in
       let out = Array.init width (fun _ -> add b State) in
       b.b_outputs <- (c.name, out) :: b.b_outputs)
     memories;
   (* Pass 2: combinational components in dependency order. *)
-  List.iter
-    (fun (c : Component.t) ->
+  Array.iter
+    (fun id ->
+      let c = comps.(id) in
       b.gates_in_flight <- 0;
-      let width = w_of c in
+      let width = w_of id in
       match c.kind with
       | Component.Alu alu -> (
           match alu_nets b ~width alu with
@@ -369,11 +366,12 @@ let of_analysis ?(io = Asim_sim.Io.null) (analysis : Analysis.t) =
     analysis.Analysis.warnings;
   (* Pass 3: memory input cones and state elements, in declaration order. *)
   List.iter
-    (fun (c : Component.t) ->
+    (fun id ->
+      let c = comps.(id) in
       b.gates_in_flight <- 0;
       match c.kind with
       | Component.Memory m ->
-          let width = w_of c in
+          let width = w_of id in
           let out = lookup_vector b c.name in
           if
             m.cells = 1 && m.init = None
@@ -399,7 +397,7 @@ let of_analysis ?(io = Asim_sim.Io.null) (analysis : Analysis.t) =
           end
       | Component.Alu _ | Component.Selector _ -> ())
     memories;
-  let memory_names = List.map (fun (c : Component.t) -> c.name) memories in
+  let memory_names = List.map (fun id -> comps.(id).Component.name) memories in
   {
     drivers = Array.sub b.drv 0 b.count;
     values = Array.make b.count false;

@@ -204,64 +204,58 @@ let step st () =
 
 let create ?(config = Machine.default_config) ?prof
     (analysis : Asim_analysis.Analysis.t) =
-  let spec = analysis.Asim_analysis.Analysis.spec in
-  let symbol_of (c : Component.t) = { sym_name = c.name; value = 0 } in
-  let symbols = List.map symbol_of spec.Spec.components in
-  let symbol name = List.find (fun s -> String.equal s.sym_name name) symbols in
-  (* Slot = position in declaration order, the same layout every profiled
-     engine indexes its counter arrays by. *)
-  let slots = Hashtbl.create 64 in
-  List.iteri
-    (fun i (c : Component.t) -> Hashtbl.replace slots c.name i)
-    spec.Spec.components;
-  let slot name = Hashtbl.find slots name in
+  let module A = Asim_analysis.Analysis in
+  let comps = analysis.A.comps in
+  (* Slot = id = position in declaration order, the same layout every
+     profiled engine indexes its counter arrays by.  The engine itself
+     still finds every name it evaluates by linear search. *)
+  let symbols = Array.map (fun (c : Component.t) -> { sym_name = c.name; value = 0 }) comps in
   let entries =
-    List.map
-      (fun (c : Component.t) ->
-        match c.kind with
-        | Component.Alu { fn; left; right } ->
-            T_alu
-              {
-                t_name = c.name;
-                t_slot = slot c.name;
-                t_symbol = symbol c.name;
-                fn_s = Expr.to_string fn;
-                left_s = Expr.to_string left;
-                right_s = Expr.to_string right;
-              }
-        | Component.Selector { select; cases } ->
-            T_selector
-              {
-                t_name = c.name;
-                t_slot = slot c.name;
-                t_symbol = symbol c.name;
-                select_s = Expr.to_string select;
-                case_s = Array.map Expr.to_string cases;
-              }
-        | Component.Memory _ -> assert false)
-      analysis.Asim_analysis.Analysis.order
+    Array.to_list analysis.A.order
+    |> List.map (fun id ->
+           let t_name = comps.(id).Component.name and t_symbol = symbols.(id) in
+           match comps.(id).Component.kind with
+           | Component.Alu { fn; left; right } ->
+               T_alu
+                 {
+                   t_name;
+                   t_slot = id;
+                   t_symbol;
+                   fn_s = Expr.to_string fn;
+                   left_s = Expr.to_string left;
+                   right_s = Expr.to_string right;
+                 }
+           | Component.Selector { select; cases } ->
+               T_selector
+                 {
+                   t_name;
+                   t_slot = id;
+                   t_symbol;
+                   select_s = Expr.to_string select;
+                   case_s = Array.map Expr.to_string cases;
+                 }
+           | Component.Memory _ -> assert false)
   in
   let memories =
-    List.map
-      (fun (c : Component.t) ->
-        match c.kind with
-        | Component.Memory m ->
-            {
-              m_name = c.name;
-              m_slot = slot c.name;
-              m_symbol = symbol c.name;
-              addr_s = Expr.to_string m.addr;
-              data_s = Expr.to_string m.data;
-              op_s = Expr.to_string m.op;
-              cells =
-                (match m.init with
-                | Some values -> Array.copy values
-                | None -> Array.make m.cells 0);
-              addr_snapshot = 0;
-              op_snapshot = 0;
-            }
-        | Component.Alu _ | Component.Selector _ -> assert false)
-      analysis.Asim_analysis.Analysis.memories
+    Array.to_list analysis.A.memories
+    |> List.map (fun id ->
+           match comps.(id).Component.kind with
+           | Component.Memory m ->
+               {
+                 m_name = comps.(id).Component.name;
+                 m_slot = id;
+                 m_symbol = symbols.(id);
+                 addr_s = Expr.to_string m.addr;
+                 data_s = Expr.to_string m.data;
+                 op_s = Expr.to_string m.op;
+                 cells =
+                   (match m.init with
+                   | Some values -> Array.copy values
+                   | None -> Array.make m.cells 0);
+                 addr_snapshot = 0;
+                 op_snapshot = 0;
+               }
+           | Component.Alu _ | Component.Selector _ -> assert false)
   in
   let config =
     match prof with
@@ -274,10 +268,10 @@ let create ?(config = Machine.default_config) ?prof
       analysis;
       config;
       stats = Stats.create ~memories:(List.map (fun ms -> ms.m_name) memories);
-      symbols;
+      symbols = Array.to_list symbols;
       entries;
       memories;
-      traced = Spec.traced_names spec;
+      traced = Spec.traced_names analysis.A.spec;
       has_faults = config.Machine.faults <> [];
       prof;
       cycle = 0;
@@ -288,11 +282,8 @@ let create ?(config = Machine.default_config) ?prof
   | Some p ->
       Asim_prof.Prof.attach_stats p st.stats;
       p.Asim_prof.Prof.engine <- "interpreter");
-  let memory_by_name name =
-    match List.find_opt (fun ms -> String.equal ms.m_name name) st.memories with
-    | Some ms -> ms
-    | None -> Error.failf Error.Runtime "Component <%s> is not a memory." name
-  in
+  let by_position = Array.of_list memories in
+  let memory_by_name name = by_position.(A.memory analysis name) in
   let read_cell name index =
     let ms = memory_by_name name in
     if index < 0 || index >= Array.length ms.cells then
@@ -308,7 +299,7 @@ let create ?(config = Machine.default_config) ?prof
   {
     Machine.analysis;
     step = step st;
-    read = read_value st;
+    read = (fun name -> symbols.(A.id analysis name).value);
     read_cell;
     write_cell;
     current_cycle = (fun () -> st.cycle);

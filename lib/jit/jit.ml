@@ -131,9 +131,7 @@ let rec ensure_dir path =
    the planted ASIM_OPT_SKEW miscompile reverses it — so the order is part of
    the key. *)
 let spec_md5 (analysis : Analysis.t) =
-  let order_names =
-    List.map (fun (c : Component.t) -> c.name) analysis.Analysis.order
-  in
+  let order_names = Analysis.names analysis analysis.Analysis.order in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00" (Pretty.spec analysis.Analysis.spec :: order_names)))
@@ -172,16 +170,17 @@ type mem_layout = {
   g_mem : Component.memory;
 }
 
-let layout_memories (analysis : Analysis.t) ids =
+let layout_memories (analysis : Analysis.t) =
   let off = ref 0 in
   analysis.Analysis.memories
-  |> List.mapi (fun k (c : Component.t) ->
-         match c.kind with
+  |> Array.mapi (fun k id ->
+         let c = analysis.Analysis.comps.(id) in
+         match c.Component.kind with
          | Component.Memory m ->
              let g =
                {
                  g_name = c.name;
-                 g_id = Hashtbl.find ids c.name;
+                 g_id = id;
                  g_index = k;
                  g_off = !off;
                  g_len = m.Component.cells;
@@ -192,19 +191,14 @@ let layout_memories (analysis : Analysis.t) ids =
              off := !off + m.Component.cells;
              g
          | Component.Alu _ | Component.Selector _ -> assert false)
-  |> fun l -> (Array.of_list l, !off)
-
-let slot ids name =
-  match Hashtbl.find_opt ids name with
-  | Some id -> id
-  | None -> Error.failf Error.Analysis "Component <%s> not found." name
+  |> fun l -> (l, !off)
 
 let int_lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
-let render_term ids = function
+let render_term next = function
   | Lower.Const c -> int_lit c
-  | Lower.Field { name; mask; shift } ->
-      let base = Printf.sprintf "(Array.unsafe_get vals %d)" (slot ids name) in
+  | Lower.Field { mask; shift; _ } ->
+      let base = Printf.sprintf "(Array.unsafe_get vals %d)" (next ()) in
       let masked =
         match mask with
         | None -> base
@@ -214,51 +208,52 @@ let render_term ids = function
       else if shift < 0 then Printf.sprintf "(%s lsr %d)" masked (-shift)
       else masked
 
-let render_expr ids e =
+(* [Lower.lower] lists one field per reference, left to right, so the
+   fields take [next]'s ids in turn. *)
+let render_expr next e =
   match Lower.lower e with
-  | [ t ] -> render_term ids t
-  | ts -> "(" ^ String.concat " + " (List.map (render_term ids) ts) ^ ")"
+  | [ t ] -> render_term next t
+  | ts ->
+      let terms = List.fold_left (fun acc t -> render_term next t :: acc) [] ts in
+      "(" ^ String.concat " + " (List.rev terms) ^ ")"
 
 (* §4.4 as real code generation: a constant function expression becomes the
-   inlined operation; only a dynamic function pays the [dologic] dispatch. *)
-let render_alu ids (a : Component.alu) =
-  let l () = render_expr ids a.Component.left
-  and r () = render_expr ids a.Component.right in
+   inlined operation; only a dynamic function pays the [dologic] dispatch.
+   Every expression is rendered, in [Component.inputs] order, so [next]
+   stays in step. *)
+let render_alu next (a : Component.alu) =
+  let f = render_expr next a.Component.fn in
+  let l = render_expr next a.Component.left in
+  let r = render_expr next a.Component.right in
   match Lower.alu_const_function a with
   | Some (Component.Fn_zero | Component.Fn_unused) -> "0"
-  | Some Component.Fn_right -> r ()
-  | Some Component.Fn_left -> l ()
-  | Some Component.Fn_not -> Printf.sprintf "(mask - %s)" (l ())
-  | Some Component.Fn_add -> Printf.sprintf "(%s + %s)" (l ()) (r ())
-  | Some Component.Fn_sub -> Printf.sprintf "(%s - %s)" (l ()) (r ())
-  | Some Component.Fn_shift_left -> Printf.sprintf "(dologic 6 %s %s)" (l ()) (r ())
-  | Some Component.Fn_mul -> Printf.sprintf "(%s * %s)" (l ()) (r ())
-  | Some Component.Fn_and -> Printf.sprintf "(%s land %s)" (l ()) (r ())
-  | Some Component.Fn_or ->
-      Printf.sprintf "(let a = %s and b = %s in a + b - (a land b))" (l ()) (r ())
+  | Some Component.Fn_right -> r
+  | Some Component.Fn_left -> l
+  | Some Component.Fn_not -> Printf.sprintf "(mask - %s)" l
+  | Some Component.Fn_add -> Printf.sprintf "(%s + %s)" l r
+  | Some Component.Fn_sub -> Printf.sprintf "(%s - %s)" l r
+  | Some Component.Fn_shift_left -> Printf.sprintf "(dologic 6 %s %s)" l r
+  | Some Component.Fn_mul -> Printf.sprintf "(%s * %s)" l r
+  | Some Component.Fn_and -> Printf.sprintf "(%s land %s)" l r
+  | Some Component.Fn_or -> Printf.sprintf "(let a = %s and b = %s in a + b - (a land b))" l r
   | Some Component.Fn_xor ->
-      Printf.sprintf "(let a = %s and b = %s in a + b - (2 * (a land b)))" (l ())
-        (r ())
-  | Some Component.Fn_eq -> Printf.sprintf "(if %s = %s then 1 else 0)" (l ()) (r ())
-  | Some Component.Fn_lt -> Printf.sprintf "(if %s < %s then 1 else 0)" (l ()) (r ())
-  | None ->
-      Printf.sprintf "(dologic %s %s %s)" (render_expr ids a.Component.fn) (l ())
-        (r ())
+      Printf.sprintf "(let a = %s and b = %s in a + b - (2 * (a land b)))" l r
+  | Some Component.Fn_eq -> Printf.sprintf "(if %s = %s then 1 else 0)" l r
+  | Some Component.Fn_lt -> Printf.sprintf "(if %s < %s then 1 else 0)" l r
+  | None -> Printf.sprintf "(dologic %s %s %s)" f l r
 
-let render_selector ids ~id ~select ~(cases : Expr.t array) =
+let render_selector next ~id ~select ~(cases : Expr.t array) =
   let n = Array.length cases in
+  let sel = render_expr next select in
+  let arms = Array.map (render_expr next) cases in
   match Lower.lower select with
-  | [ Lower.Const c ] when c >= 0 && c < n -> render_expr ids cases.(c)
+  | [ Lower.Const c ] when c >= 0 && c < n -> arms.(c)
   | [ Lower.Const c ] ->
       (* Constant but out of range: preserve the per-cycle runtime error. *)
       Printf.sprintf "(sel_error %d %s %d)" id (int_lit c) n
   | _ ->
-      let arms =
-        Array.to_list cases
-        |> List.mapi (fun i e -> Printf.sprintf "| %d -> %s" i (render_expr ids e))
-      in
-      Printf.sprintf "(match %s with %s| i -> sel_error %d i %d)"
-        (render_expr ids select)
+      let arms = Array.to_list (Array.mapi (Printf.sprintf "| %d -> %s") arms) in
+      Printf.sprintf "(match %s with %s| i -> sel_error %d i %d)" sel
         (String.concat " " arms ^ " ")
         id n
 
@@ -293,12 +288,8 @@ let ctx_fields =
   ]
 
 let generate_source (analysis : Analysis.t) =
-  let spec = analysis.Analysis.spec in
-  let ids = Hashtbl.create 64 in
-  List.iteri
-    (fun i (c : Component.t) -> Hashtbl.replace ids c.name i)
-    spec.Spec.components;
-  let mems, _cells_len = layout_memories analysis ids in
+  let mems, _cells_len = layout_memories analysis in
+  let reader id = Analysis.reader analysis.Analysis.refs.(id) in
   let e = Emitter.create () in
   let line = Emitter.line e and linef fmt = Emitter.linef e fmt in
   linef "(* %s.ml — generated by asim_jit; do not edit. *)"
@@ -314,13 +305,12 @@ let generate_source (analysis : Analysis.t) =
   let body fmt = Printf.ksprintf (fun s -> Emitter.line e ("    " ^ s)) fmt in
   (* Combinational phase, in topological evaluation order; the fault hook is
      config-dependent so it is always emitted, gated on the per-slot flag. *)
-  List.iter
-    (fun (c : Component.t) ->
-      let id = slot ids c.name in
-      (match c.kind with
-      | Component.Alu a -> body "let v = %s in" (render_alu ids a)
+  Array.iter
+    (fun id ->
+      (match analysis.Analysis.comps.(id).Component.kind with
+      | Component.Alu a -> body "let v = %s in" (render_alu (reader id) a)
       | Component.Selector { select; cases } ->
-          body "let v = %s in" (render_selector ids ~id ~select ~cases)
+          body "let v = %s in" (render_selector (reader id) ~id ~select ~cases)
       | Component.Memory _ -> assert false);
       body "let v = if Array.unsafe_get faulted %d then fault %d v else v in" id id;
       body "Array.unsafe_set vals %d v;" id)
@@ -329,16 +319,27 @@ let generate_source (analysis : Analysis.t) =
   (* Address and op snapshots for every memory happen before any update (the
      paper's two-phase cycle); data expressions are evaluated lazily inside
      the update so they see earlier memories' freshly latched outputs. *)
+  let rendered =
+    Array.map
+      (fun g ->
+        let next = reader g.g_id in
+        let addr = render_expr next g.g_mem.Component.addr in
+        let data = render_expr next g.g_mem.Component.data in
+        (addr, data, render_expr next g.g_mem.Component.op))
+      mems
+  in
   Array.iter
     (fun g ->
-      body "let a%d = %s in" g.g_index (render_expr ids g.g_mem.Component.addr);
+      let addr, _, op = rendered.(g.g_index) in
+      body "let a%d = %s in" g.g_index addr;
       match Lower.memory_const_op g.g_mem with
       | Some _ -> ()
-      | None -> body "let o%d = %s in" g.g_index (render_expr ids g.g_mem.Component.op))
+      | None -> body "let o%d = %s in" g.g_index op)
     mems;
   Array.iter
     (fun g ->
       let k = g.g_index and id = g.g_id in
+      let _, data, _ = rendered.(k) in
       let a = Printf.sprintf "a%d" k in
       let cell =
         if g.g_off = 0 then a else Printf.sprintf "(%s + %d)" a g.g_off
@@ -364,8 +365,7 @@ let generate_source (analysis : Analysis.t) =
             bounds_check;
             Printf.sprintf "let d = %s in Array.unsafe_set vals %d d; \
                             Array.unsafe_set cells %s d; %s"
-              (render_expr ids g.g_mem.Component.data)
-              id cell (bump "writes");
+              data id cell (bump "writes");
           ]
       and input_arm =
         String.concat "; "
@@ -375,8 +375,7 @@ let generate_source (analysis : Analysis.t) =
           ]
       and output_arm =
         Printf.sprintf "let d = %s in Array.unsafe_set vals %d d; io_output %s d; %s"
-          (render_expr ids g.g_mem.Component.data)
-          id a (bump "outputs")
+          data id a (bump "outputs")
       in
       let trace_write_stmt =
         Printf.sprintf "trace_write %d %s (Array.unsafe_get vals %d)" k a id
@@ -574,15 +573,9 @@ let prepare ?(tracer = Tracer.null) ?cache_dir (analysis : Analysis.t) =
 let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
     ?state ?stats ?start_cycle (analysis : Analysis.t) =
   let cache_dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
-  let spec = analysis.Analysis.spec in
-  let components = spec.Spec.components in
-  let ncomp = List.length components in
-  let ids = Hashtbl.create 64 in
-  List.iteri (fun i (c : Component.t) -> Hashtbl.replace ids c.name i) components;
-  let comp_names =
-    Array.of_list (List.map (fun (c : Component.t) -> c.name) components)
-  in
-  let mems, cells_len = layout_memories analysis ids in
+  let comp_names = Array.map (fun (c : Component.t) -> c.name) analysis.Analysis.comps in
+  let ncomp = Array.length comp_names in
+  let mems, cells_len = layout_memories analysis in
   let nmem = Array.length mems in
   let vals, cells =
     match state with
@@ -619,7 +612,8 @@ let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
         Stats.create
           ~memories:(Array.to_list (Array.map (fun g -> g.g_name) mems))
   in
-  let mcount = Array.map (fun g -> Stats.memory stats g.g_name) mems in
+  (* [stats] lists the memories in declaration order, as [mems] does. *)
+  let mcount = Array.of_list (List.map snd (Stats.per_memory stats)) in
   let reads = Array.make (max 1 nmem) 0
   and writes = Array.make (max 1 nmem) 0
   and inputs = Array.make (max 1 nmem) 0
@@ -640,12 +634,13 @@ let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
   let faults = config.Machine.faults in
   let fault_targets = Fault.targets faults in
   let faulted = Array.make (max 1 ncomp) false in
-  Array.iteri
-    (fun i name -> if List.mem name fault_targets then faulted.(i) <- true)
-    comp_names;
+  List.iter
+    (fun name ->
+      Option.iter (fun i -> faulted.(i) <- true) (Spec.Names.find_opt analysis.Analysis.ids name))
+    fault_targets;
   let traced =
-    Spec.traced_names spec
-    |> List.map (fun name -> (name, slot ids name))
+    Spec.traced_names analysis.Analysis.spec
+    |> List.map (fun name -> (name, Analysis.id analysis name))
     |> Array.of_list
   in
   let mem_names = Array.map (fun g -> g.g_name) mems in
@@ -709,11 +704,7 @@ let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
     incr cycle;
     Stats.bump_cycle stats
   in
-  let mem_by_name name =
-    match Array.find_opt (fun g -> String.equal g.g_name name) mems with
-    | Some g -> g
-    | None -> Error.failf Error.Runtime "Component <%s> is not a memory." name
-  in
+  let mem_by_name name = mems.(Analysis.memory analysis name) in
   let read_cell name index =
     let g = mem_by_name name in
     if index < 0 || index >= g.g_len then invalid_arg "Jit: cell index out of range"
@@ -727,11 +718,7 @@ let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
   {
     Machine.analysis;
     step;
-    read =
-      (fun name ->
-        match Hashtbl.find_opt ids name with
-        | Some i -> vals.(i)
-        | None -> Error.failf Error.Runtime "Component <%s> not found." name);
+    read = (fun name -> vals.(Analysis.id analysis name));
     read_cell;
     write_cell;
     current_cycle = (fun () -> !cycle);

@@ -1,4 +1,5 @@
 open Asim_core
+module Analysis = Asim_analysis.Analysis
 module Width = Asim_analysis.Width
 
 type instance = {
@@ -69,14 +70,15 @@ let mux_parts ~cases width =
 let const_function (alu : Component.alu) =
   Option.map Component.alu_function_of_code (Expr.const_value alu.fn)
 
-let alu_parts env (alu : Component.alu) width =
+(* [next] hands out the ALU's reference ids in [Component.inputs] order; a
+   constant function has none, so the left operand's come first. *)
+let alu_parts widths next (alu : Component.alu) width =
   match const_function alu with
   | Some Component.Fn_add | Some Component.Fn_sub ->
       ([ (Parts.Adder_4bit, ceil_div width 4) ], "adder")
   | Some Component.Fn_eq | Some Component.Fn_lt ->
-      let w =
-        max (Width.expr_width env alu.left) (Width.expr_width env alu.right)
-      in
+      let l = Width.expr_width widths next alu.left in
+      let w = max l (Width.expr_width widths next alu.right) in
       ([ (Parts.Comparator_4bit, ceil_div w 4) ], "comparator")
   | Some Component.Fn_and -> ([ (Parts.Quad_and, ceil_div width 4) ], "AND gates")
   | Some Component.Fn_or -> ([ (Parts.Quad_or, ceil_div width 4) ], "OR gates")
@@ -88,11 +90,12 @@ let alu_parts env (alu : Component.alu) width =
   | Some Component.Fn_shift_left | Some Component.Fn_mul | None ->
       ([ (Parts.Alu_4bit, ceil_div width 4) ], "general ALU")
 
-let instance_of env (c : Component.t) =
-  let width = Width.component_width env c in
+let instance_of (a : Analysis.t) widths id =
+  let c = a.Analysis.comps.(id) in
+  let width = widths.(id) in
   match c.kind with
   | Component.Alu alu ->
-      let parts, role = alu_parts env alu width in
+      let parts, role = alu_parts widths (Analysis.reader a.Analysis.refs.(id)) alu width in
       { component = c.name; width; parts; role }
   | Component.Selector { cases; _ } ->
       {
@@ -157,10 +160,10 @@ let aggregate instances =
   List.fold_left (fun acc inst -> List.fold_left add acc inst.parts) [] instances
   |> List.sort (fun (a, _) (b, _) -> Parts.compare a b)
 
-let synthesize (spec : Spec.t) =
-  let env = Width.infer spec in
-  let instances = List.map (instance_of env) spec.components in
-  let wires = List.concat_map wires_of spec.components in
+let synthesize (a : Analysis.t) =
+  let widths = Analysis.widths a in
+  let instances = List.init (Array.length a.Analysis.comps) (instance_of a widths) in
+  let wires = List.concat_map wires_of a.Analysis.spec.Spec.components in
   { instances; wires; bom = aggregate instances }
 
 let bom_to_string t =

@@ -11,8 +11,6 @@
     Like the thesis, this is deliberately *not* an optimizing synthesizer
     ("it should be noted that this is not an optimum circuit"). *)
 
-open Asim_core
-
 type instance = {
   component : string;  (** spec component name *)
   width : int;  (** inferred output width in bits *)
@@ -33,7 +31,9 @@ type t = {
   bom : (Parts.t * int) list;  (** aggregated, catalog order *)
 }
 
-val synthesize : Spec.t -> t
+val synthesize : Asim_analysis.Analysis.t -> t
+(** One instance per component, in declaration order, sized by
+    {!Asim_analysis.Analysis.widths}. *)
 
 val bom_to_string : t -> string
 (** Appendix F style parts list: one part per line with its count. *)

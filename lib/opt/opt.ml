@@ -121,13 +121,11 @@ let field_bounds = function
   | Expr.Range (f, t) -> Some (Number.value f, Number.value t)
 
 (* ------------------------------------------------------------------ *)
-(* Dense ids.  [run_result] resolves every component name once, to the
-   component's index in the spec, and the passes below work over arrays
-   indexed by that id.  A component's references are the ids of the [Ref]
-   atoms of its expressions, left to right across [Component.inputs]
-   ([Width.resolve]). *)
-
-module Names = Hashtbl.Make (String)
+(* Dense ids.  The passes below work over the analysis's resolved program:
+   arrays indexed by id (a component's position in the spec), and each
+   component's references as the ids of the [Ref] atoms of its
+   expressions, left to right across [Component.inputs]
+   ([Analysis.refs]). *)
 
 (* Walkers read one component's reference ids through a cursor, one id per
    [Ref] atom, left to right.  Rewriters push the ids of the references they
@@ -349,26 +347,20 @@ let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
   else begin
     let spec = analysis.Analysis.spec in
     (* [comps] and [refs] hold the current component and its references;
-       a pass that rewrites a component replaces both entries. *)
-    let comps = Array.of_list spec.Spec.components in
+       a pass that rewrites a component replaces both entries.  They start
+       as copies of the analysis's resolved program, which stays untouched:
+       one raw analysis may be optimized more than once. *)
+    let comps = Array.copy analysis.Analysis.comps in
+    let refs = Array.copy analysis.Analysis.refs in
     let n = Array.length comps in
-    let ids = Names.create (max 16 n) in
-    Array.iteri (fun i (c : Component.t) -> Names.replace ids c.Component.name i) comps;
-    let id name = Option.value (Names.find_opt ids name) ~default:(-1) in
-    let ids_of names = List.filter (fun i -> i >= 0) (List.map id names) in
-    let names_of = List.map (fun (c : Component.t) -> c.Component.name) in
-    (* Width rules are compiled while each component is resolved, and
-       re-compiled only for the components a pass rewrites. *)
+    let ids_of names = List.filter_map (Spec.Names.find_opt analysis.Analysis.ids) names in
+    (* Width rules are compiled once, and re-compiled only for the
+       components a pass rewrites. *)
     let widths = if has Narrow || has Dce then Some (Width.plan n) else None in
-    let refs =
-      Array.mapi
-        (fun i c ->
-          let r = Width.resolve ~id c in
-          Option.iter (fun plan -> Width.update plan i ~refs:r c) widths;
-          r)
-        comps
-    in
-    let order = Array.of_list (ids_of (names_of analysis.Analysis.order)) in
+    Option.iter
+      (fun plan -> Array.iteri (fun i c -> Width.update plan i ~refs:refs.(i) c) comps)
+      widths;
+    let order = analysis.Analysis.order in
     let folded = ref 0
     and stubbed = ref 0
     and fused = ref 0
@@ -378,9 +370,8 @@ let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
        and every memory. *)
     let opaque = Array.make n false in
     let keep = ids_of keep in
-    List.iter
-      (fun i -> opaque.(i) <- true)
-      (ids_of (Spec.traced_names spec) @ keep @ ids_of (names_of analysis.Analysis.memories));
+    List.iter (fun i -> opaque.(i) <- true) (ids_of (Spec.traced_names spec) @ keep);
+    Array.iter (fun i -> opaque.(i) <- true) analysis.Analysis.memories;
     let tainted = taint_closure refs keep in
     let cur = { ids = [||]; pos = 0 } and kept = { buf = Array.make 64 0; len = 0 } in
     let bounded () = bounded_widths ~tainted comps (Width.solve (Option.get widths)) in
@@ -673,23 +664,27 @@ let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
             if not (live.(i) || opaque.(i) || Component.is_memory c) then begin
               dead := c.Component.name :: !dead;
               incr stubbed;
-              comps.(i) <- { c with Component.kind = stub_kind }
+              comps.(i) <- { c with Component.kind = stub_kind };
+              refs.(i) <- [||]
             end)
           comps;
         List.rev !dead
       end
     in
-    (* --- rebuild the analysis (order, memories) by id ----------------- *)
-    let order = Array.fold_right (fun i acc -> comps.(i) :: acc) order [] in
     (* --- planted miscompile: stale reads across the order boundary ---- *)
-    let order = if skew && List.length order >= 2 then List.rev order else order in
-    let components = Array.to_list comps in
+    let order =
+      if skew && Array.length order >= 2 then
+        Array.init (Array.length order) (fun k -> order.(Array.length order - 1 - k))
+      else order
+    in
+    (* The ids stay valid: no pass adds, removes or renames a component. *)
     let analysis' =
       {
-        Analysis.spec = { spec with Spec.components = components };
+        analysis with
+        Analysis.spec = { spec with Spec.components = Array.to_list comps };
+        comps;
+        refs;
         order;
-        memories = List.filter Component.is_memory components;
-        warnings = analysis.Analysis.warnings;
       }
     in
     {

@@ -1,7 +1,7 @@
 (** The optimizing middle-end over the codegen IR.
 
     [run] rewrites an analyzed spec into an observably equivalent one that
-    every backend (interp, closure-compiled, flat, native, tiered, par, and
+    every backend (interp, closure-compiled, flat, native, tiered, and
     the source generators) consumes unchanged: traces, I/O events, memory
     cells, statistics, fault behaviour and runtime errors are preserved
     byte-for-byte; only the values of components proved unobservable (see
@@ -84,7 +84,14 @@ val run_result :
     trusted — engines pass the fault-plan targets, batch passes every name
     when raw outputs are requested.  Traced components are always kept
     verbatim.  The evaluation order is carried over from the input
-    analysis. *)
+    analysis.
+
+    The passes work over the analysis's resolved program (its [comps] and
+    [refs], by id) and resolve no name themselves.  They rewrite copies,
+    so the input analysis is never modified and can be optimized again;
+    the result's analysis carries the rewritten [comps], [spec] and
+    [refs], and shares [ids] and [memories] with the input, since no pass
+    adds, removes or renames a component. *)
 
 val run :
   ?level:level ->

@@ -1,6 +1,5 @@
 open Asim_core
 module Analysis = Asim_analysis.Analysis
-module Depgraph = Asim_analysis.Depgraph
 module Stats = Asim_sim.Stats
 module Io = Asim_sim.Io
 module Clock = Asim_obs.Clock
@@ -33,27 +32,11 @@ type t = {
   mutable stats : Stats.t option;
 }
 
-(* The slot map is reconstructed on demand (reports, never the hot path);
-   keeping it out of [t] keeps the record free of non-counter state. *)
-let ids t =
-  let h = Hashtbl.create (Array.length t.names) in
-  Array.iteri (fun i name -> Hashtbl.replace h name i) t.names;
-  h
-
-let slot t name =
-  let rec go i =
-    if i >= Array.length t.names then raise Not_found
-    else if String.equal t.names.(i) name then i
-    else go (i + 1)
-  in
-  go 0
-
 let attach_stats t stats = t.stats <- Some stats
 
 let create ?(sample_every = 256) (analysis : Analysis.t) =
   if sample_every < 1 then invalid_arg "Prof.create: sample_every must be >= 1";
-  let spec = analysis.Analysis.spec in
-  let comps = Array.of_list spec.Spec.components in
+  let comps = analysis.Analysis.comps in
   let n = Array.length comps in
   let names = Array.map (fun (c : Component.t) -> c.name) comps in
   let kinds =
@@ -65,25 +48,17 @@ let create ?(sample_every = 256) (analysis : Analysis.t) =
         | Component.Memory _ -> 'M')
       comps
   in
-  let id = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i name -> Hashtbl.replace id name i) names;
   (* Topological level: 0 = reads no combinational outputs; memories stay
      at -1 (their outputs are one-cycle-delayed temporaries, outside the
      combinational wavefront).  [Analysis.order] is dependency-sorted, so
      every dependency's level is settled before its readers. *)
   let levels = Array.make (max 1 n) (-1) in
-  List.iter
-    (fun (c : Component.t) ->
-      let deps = Depgraph.dependencies spec c in
-      let lvl =
-        List.fold_left
-          (fun acc dep ->
-            match Hashtbl.find_opt id dep with
-            | Some s -> max acc (levels.(s) + 1)
-            | None -> acc)
-          0 deps
-      in
-      levels.(Hashtbl.find id c.Component.name) <- lvl)
+  Array.iter
+    (fun i ->
+      levels.(i) <-
+        Array.fold_left
+          (fun acc s -> if kinds.(s) = 'M' then acc else max acc (levels.(s) + 1))
+          0 analysis.Analysis.refs.(i))
     analysis.Analysis.order;
   let nlevels = 1 + Array.fold_left max (-1) levels in
   let zeros () = Array.make (max 1 n) 0 in
@@ -131,19 +106,23 @@ let instrument_io t (h : Io.handler) =
   }
 
 let finalize t =
-  let id = ids t in
   (match t.stats with
   | None -> ()
   | Some stats ->
+      (* The engines list their memories in declaration order, which is
+         slot order: walk both together. *)
+      let s = ref 0 in
       List.iter
         (fun (name, (c : Stats.memory_counters)) ->
-          match Hashtbl.find_opt id name with
-          | None -> ()
-          | Some s ->
-              t.reads.(s) <- c.Stats.reads;
-              t.writes.(s) <- c.Stats.writes;
-              t.inputs.(s) <- c.Stats.inputs;
-              t.outputs.(s) <- c.Stats.outputs)
+          while !s < Array.length t.names && not (String.equal t.names.(!s) name) do
+            incr s
+          done;
+          if !s < Array.length t.names then begin
+            t.reads.(!s) <- c.Stats.reads;
+            t.writes.(!s) <- c.Stats.writes;
+            t.inputs.(!s) <- c.Stats.inputs;
+            t.outputs.(!s) <- c.Stats.outputs
+          end)
         (Stats.per_memory stats));
   (* Every combinational component is considered exactly once per cycle:
      it either evaluated or its dirty bit was clear. *)

@@ -64,9 +64,6 @@ val create : ?sample_every:int -> Asim_analysis.Analysis.t -> t
     is the cycle-profiler period: every Nth cycle is timed per topological
     level.  Raises [Invalid_argument] if [sample_every < 1]. *)
 
-val slot : t -> string -> int
-(** Slot of a component name; raises [Not_found] for unknown names. *)
-
 val attach_stats : t -> Asim_sim.Stats.t -> unit
 (** Point the profile at the engine's statistics so [finalize] can copy the
     per-memory operation counts.  Engines call this at construction. *)

@@ -21,15 +21,10 @@ let coverage r =
   if r.total = 0 then 1.0 else float_of_int r.detected_count /. float_of_int r.total
 
 let stuck_at_faults ?(bits_per_component = 8) (analysis : Asim_analysis.Analysis.t) =
-  let widths = Asim_analysis.Width.infer analysis.Asim_analysis.Analysis.spec in
+  let widths = Asim_analysis.Analysis.widths analysis in
   analysis.Asim_analysis.Analysis.spec.Spec.components
-  |> List.concat_map (fun (c : Component.t) ->
-         let width =
-           min bits_per_component
-             (match List.assoc_opt c.name widths with
-             | Some w -> max 1 (min Bits.word_bits w)
-             | None -> 1)
-         in
+  |> List.mapi (fun id (c : Component.t) ->
+         let width = min bits_per_component (max 1 (min Bits.word_bits widths.(id))) in
          List.concat
            (List.init width (fun bit ->
                 [
@@ -46,6 +41,7 @@ let stuck_at_faults ?(bits_per_component = 8) (analysis : Asim_analysis.Analysis
                     last_cycle = None;
                   };
                 ])))
+  |> List.concat
 
 let fault_to_string (f : Fault.fault) =
   let kind =

@@ -16,8 +16,8 @@ let default_names (m : Machine.t) =
 
 let record ?names ?(timescale = "1 ns") (m : Machine.t) ~cycles =
   let names = match names with Some ns -> ns | None -> default_names m in
-  let spec = m.Machine.analysis.Asim_analysis.Analysis.spec in
-  let widths = Asim_analysis.Width.infer spec in
+  let analysis = m.Machine.analysis in
+  let widths = Asim_analysis.Analysis.widths analysis in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "$date\n  ASIM II reproduction\n$end\n";
   Buffer.add_string buf "$version\n  asim vcd dump\n$end\n";
@@ -26,7 +26,11 @@ let record ?names ?(timescale = "1 ns") (m : Machine.t) ~cycles =
   let signals =
     List.mapi
       (fun i name ->
-        let width = try List.assoc name widths with Not_found -> Bits.word_bits in
+        let width =
+          match Spec.Names.find_opt analysis.Asim_analysis.Analysis.ids name with
+          | Some id -> widths.(id)
+          | None -> Bits.word_bits
+        in
         let id = identifier i in
         Buffer.add_string buf
           (Printf.sprintf "$var wire %d %s %s $end\n" width id name);

@@ -126,7 +126,7 @@ let outcome text =
         match Analysis.analyze spec with
         | exception Asim_core.Error.Error e -> error e
         | a ->
-            let names l = String.concat " " (List.map (fun (c : Component.t) -> c.name) l) in
+            let names ids = String.concat " " (Analysis.names a ids) in
             "ok "
             ^ digest
                 (String.concat "\n"

@@ -7,7 +7,8 @@ module Width = Asim_analysis.Width
 let parse = Asim_syntax.Parser.parse_string
 
 let order_names spec =
-  List.map (fun (c : Component.t) -> c.name) (Analysis.analyze spec).Analysis.order
+  let a = Analysis.analyze spec in
+  Analysis.names a a.Analysis.order
 
 let test_dependency_order () =
   (* b depends on a, c on b; declared in reverse. *)
@@ -166,9 +167,9 @@ let test_lint_stack_machine_prog () =
   | l -> Alcotest.failf "expected exactly the prog lint, got %d" (List.length l)
 
 let test_width_inference () =
-  let spec = Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image () in
-  let env = Width.infer spec in
-  let w name = List.assoc name env in
+  let a = Analysis.analyze (Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image ()) in
+  let widths = Analysis.widths a in
+  let w name = widths.(Analysis.id a name) in
   Alcotest.(check int) "phase one-hot" 4 (w "phase");
   Alcotest.(check int) "decode" 4 (w "decode");
   (* the function input is computed at run time and dologic includes NOT,
@@ -179,10 +180,16 @@ let test_width_inference () =
   Alcotest.(check int) "comparator output" 1 (w "sub")
 
 let test_width_expr () =
-  let spec = parse "#c\na b .\nA a 12 b 1\nM b 0 a 1 1\n.\n" in
-  let env = Width.infer spec in
-  Alcotest.(check int) "compare is 1 bit" 1 (List.assoc "a" env);
-  Alcotest.(check int) "register follows data" 1 (List.assoc "b" env)
+  let a = Analysis.analyze (parse "#c\na b .\nA a 12 b 1\nM b 0 a 1 1\n.\n") in
+  let widths = Analysis.widths a in
+  Alcotest.(check int) "compare is 1 bit" 1 widths.(Analysis.id a "a");
+  Alcotest.(check int) "register follows data" 1 widths.(Analysis.id a "b");
+  (* the memory's data expression reads [a]: its width is [a]'s *)
+  Alcotest.(check int) "expression width" 1
+    (Width.expr_width widths (fun () -> Analysis.id a "a") [ Expr.ref_ "a" ])
+
+let test_lints_linear () =
+  Linear.check "Analysis.lints" (fun n -> Analysis.analyze (Linear.pipeline n)) Analysis.lints
 
 let () =
   Alcotest.run "analysis"
@@ -213,6 +220,7 @@ let () =
           Alcotest.test_case "selector overrun" `Quick test_lint_selector_overrun;
           Alcotest.test_case "constant out of range" `Quick test_lint_const_out_of_range;
           Alcotest.test_case "stack machine prog ROM" `Quick test_lint_stack_machine_prog;
+          Alcotest.test_case "lints linear" `Quick test_lints_linear;
         ] );
       ( "width",
         [

@@ -758,6 +758,23 @@ let test_genspec_flat_compiled () =
       Alcotest.(check bool) "trace is not empty" true (contains flat "Cycle");
       Alcotest.(check string) "flat trace identical to compiled" compiled flat)
 
+(* `asim check` lists every component's width; the listing reads widths by
+   id, so the whole command stays linear in the spec. *)
+let test_check_widths_linear () =
+  let files = ref [] in
+  let make n =
+    let path = Filename.temp_file "asim-cli" ".asim" in
+    files := path :: !files;
+    write_file path (Asim.Pretty.spec (Linear.pipeline n));
+    path
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove !files)
+    (fun () ->
+      Linear.check "asim check" make (fun path ->
+          let code, text = run_cli ("check " ^ Filename.quote path) in
+          if code <> 0 then Alcotest.failf "check failed: %s" text))
+
 (* A retired engine name is an error that names the engines that exist. *)
 let test_run_unknown_engine () =
   with_spec counter (fun path ->
@@ -830,5 +847,6 @@ let () =
             test_genspec_flat_compiled;
           Alcotest.test_case "run unknown engine" `Quick test_run_unknown_engine;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "check widths linear" `Quick test_check_widths_linear;
         ] );
     ]

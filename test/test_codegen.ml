@@ -76,9 +76,9 @@ let test_temp_elision () =
   let source = "# m\nc inc m .\nA inc 4 c 1\nM m 0 c 1 1\nM c 0 inc 1 1\n.\n" in
   let analysis = load_string source in
   Alcotest.(check bool) "m output unused" false
-    (Analysis.memory_output_used analysis "m");
+    (Analysis.memory_output_used analysis (Analysis.id analysis "m"));
   Alcotest.(check bool) "c output used" true
-    (Analysis.memory_output_used analysis "c");
+    (Analysis.memory_output_used analysis (Analysis.id analysis "c"));
   let pascal = Pascal.generate analysis in
   check_absent "pascal: no temp variable" pascal "tempm";
   check_contains "pascal: direct store" pascal "ljbm[adrm] := tempc;";
@@ -94,7 +94,7 @@ let test_temp_kept_when_traced () =
   let source = "# m\nc inc m .\nA inc 4 c 1\nM m 0 c 5 1\nM c 0 inc 1 1\n.\n" in
   let analysis = load_string source in
   Alcotest.(check bool) "trace lines read the temp" true
-    (Analysis.memory_output_used analysis "m");
+    (Analysis.memory_output_used analysis (Analysis.id analysis "m"));
   check_contains "temp kept" (Pascal.generate analysis) "tempm :="
 
 let test_traced_components_in_pascal () =
@@ -244,6 +244,10 @@ let test_lang_dispatch () =
     (Option.map Codegen.extension (Codegen.lang_of_string "Verilog"));
   Alcotest.(check bool) "unknown" true (Codegen.lang_of_string "fortran" = None)
 
+(* Memory tests and temporary elision read per-id flags, not the spec. *)
+let test_c_generate_linear () =
+  Linear.check "C_gen.generate" (fun n -> Analysis.analyze (Linear.pipeline n)) C_gen.generate
+
 let () =
   Alcotest.run "codegen"
     [
@@ -280,5 +284,6 @@ let () =
           Alcotest.test_case "verilog dologic" `Quick
             test_verilog_dologic_only_when_needed;
           Alcotest.test_case "language dispatch" `Quick test_lang_dispatch;
+          Alcotest.test_case "c generate linear" `Quick test_c_generate_linear;
         ] );
     ]

@@ -331,6 +331,12 @@ let test_genspec_passes_oracle () =
       Gen.mesh ~width:4 ~height:3 ~seed:5 ();
     ]
 
+(* The interpreter evaluates by linear symbol search, but building it reads
+   the analysis's ids. *)
+let test_interp_create_linear () =
+  Linear.check "Interp.create" (fun n -> Analysis.analyze (Linear.pipeline n)) (fun a ->
+      Interp.create ~config:Machine.quiet_config a)
+
 let () =
   Alcotest.run "engines"
     [
@@ -372,5 +378,6 @@ let () =
             test_genspec_shape;
           Alcotest.test_case "small instances pass the oracle" `Quick
             test_genspec_passes_oracle;
+          Alcotest.test_case "interp create linear" `Quick test_interp_create_linear;
         ] );
     ]

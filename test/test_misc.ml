@@ -53,9 +53,18 @@ let test_error_fail_raises () =
 
 (* --- Depgraph ---------------------------------------------------------------- *)
 
+(* A component's combinational dependencies, read off the resolved
+   program: the ALUs and selectors its references name (memories' outputs
+   are last cycle's, so a memory depends on nothing this cycle). *)
 let test_dependencies () =
-  let spec = parse "#d\na b m .\nA a 4 b m\nA b 4 m 1\nM m 0 a 1 1\n.\n" in
-  let deps name = Depgraph.dependencies spec (Spec.find_exn spec name) in
+  let a = Analysis.analyze (parse "#d\na b m .\nA a 4 b m\nA b 4 m 1\nM m 0 a 1 1\n.\n") in
+  let comb j = not (Component.is_memory a.Analysis.comps.(j)) in
+  let deps name =
+    let i = Analysis.id a name in
+    if comb i then Analysis.names a (Array.of_list (List.filter comb (Array.to_list a.Analysis.refs.(i))))
+    else []
+  in
+  Alcotest.(check (list string)) "evaluation order" [ "b"; "a" ] (Analysis.names a a.Analysis.order);
   Alcotest.(check (list string)) "a needs b (not the memory)" [ "b" ] (deps "a");
   Alcotest.(check (list string)) "b needs nothing combinational" [] (deps "b");
   Alcotest.(check (list string)) "memories impose no ordering" [] (deps "m")
@@ -112,7 +121,7 @@ let test_vcd_many_signals () =
 
 let test_netlist_large_mux () =
   let spec = Asim_stackm.Microcode.spec ~program:Asim_stackm.Programs.sieve () in
-  let net = Asim_netlist.Synth.synthesize spec in
+  let net = Asim_netlist.Synth.synthesize (Asim_analysis.Analysis.analyze spec) in
   let rom = List.find (fun (i : Asim_netlist.Synth.instance) -> i.component = "rom") net.Asim_netlist.Synth.instances in
   (* 64 cases -> a two-level 8-to-1 cascade *)
   Alcotest.(check bool) "8-to-1 muxes present" true

@@ -4,7 +4,7 @@ open Asim
 module Parts = Asim_netlist.Parts
 module Synth = Asim_netlist.Synth
 
-let synth source = Synth.synthesize (load_string source).Analysis.spec
+let synth source = Synth.synthesize (load_string source)
 
 let instance net name =
   List.find (fun (i : Synth.instance) -> i.component = name) net.Synth.instances
@@ -91,7 +91,7 @@ let test_tiny_computer_bom () =
   (* The Appendix F machine: its parts list uses exactly the thesis's part
      vocabulary. *)
   let spec = Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image () in
-  let net = Synth.synthesize spec in
+  let net = Synth.synthesize (Analysis.analyze spec) in
   let bom = Synth.bom_to_string net in
   List.iter
     (fun needle ->
@@ -106,7 +106,7 @@ let test_tiny_computer_bom () =
 
 let test_stack_machine_bom_has_big_ram () =
   let spec = Asim_stackm.Microcode.spec ~program:Asim_stackm.Programs.sieve () in
-  let net = Synth.synthesize spec in
+  let net = Synth.synthesize (Analysis.analyze spec) in
   Alcotest.(check bool) "4K RAM chips" true
     (List.exists
        (fun (p, _) -> match p with Parts.Ram { words = 4096; _ } -> true | _ -> false)

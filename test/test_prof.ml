@@ -194,6 +194,12 @@ let test_engine_dispatch () =
     prof.Prof.engine;
   Alcotest.(check int) "tiered counted its cycles" 100 prof.Prof.cycles
 
+(* Levels come from the analysis's resolved references, not a per-component
+   dependency scan. *)
+let test_create_linear () =
+  Linear.check "Prof.create" (fun n -> Analysis.analyze (Linear.pipeline n)) (fun a ->
+      Prof.create a)
+
 let () =
   Alcotest.run "prof"
     [
@@ -213,5 +219,6 @@ let () =
           Alcotest.test_case "profiled step zero-alloc" `Quick
             test_profiled_step_zero_alloc;
           Alcotest.test_case "engine dispatch" `Quick test_engine_dispatch;
+          Alcotest.test_case "create linear" `Quick test_create_linear;
         ] );
     ]

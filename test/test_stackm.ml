@@ -555,7 +555,7 @@ let test_spec_analyzes () =
   let analysis = Asim.Analysis.analyze spec in
   Alcotest.(check int) "components" 27
     (List.length analysis.Asim.Analysis.spec.Asim.Spec.components);
-  Alcotest.(check int) "memories" 10 (List.length analysis.Asim.Analysis.memories);
+  Alcotest.(check int) "memories" 10 (Array.length analysis.Asim.Analysis.memories);
   (* no warnings: everything declared and defined *)
   Alcotest.(check int) "warnings" 0 (List.length analysis.Asim.Analysis.warnings)
 

@@ -256,24 +256,6 @@ let test_hostile_memory_init () =
   | _ -> Alcotest.fail "expected a positioned parse error");
   parse_error "#c\nm .\nM m 0 0 0 -100000000000000 5\n.\n"
 
-(* Same-process ratio: ten times the definitions (or instances) may cost
-   at most thirty times the time; a per-item list scan costs a hundred. *)
-let best_of_3 f =
-  List.fold_left
-    (fun best () ->
-      let t0 = Unix.gettimeofday () in
-      ignore (f () : Spec.t);
-      Float.min best (Unix.gettimeofday () -. t0))
-    infinity [ (); (); () ]
-
-let check_linear what make =
-  let small = make 2_000 and large = make 20_000 in
-  let t_small = best_of_3 (fun () -> Parser.parse_string small) in
-  let t_large = best_of_3 (fun () -> Parser.parse_string large) in
-  if t_large > 30.0 *. t_small then
-    Alcotest.failf "%s: 20k took %.1f ms, %.0fx the 2k (%.2f ms)" what (t_large *. 1000.0)
-      (t_large /. t_small) (t_small *. 1000.0)
-
 (* [n] macros, each used once, by one ALU apiece. *)
 let macro_spec n =
   let b = Buffer.create (n * 24) in
@@ -306,8 +288,8 @@ let instance_spec n =
   Buffer.add_string b ".\n";
   Buffer.contents b
 
-let test_macros_linear () = check_linear "macros" macro_spec
-let test_instances_linear () = check_linear "module instances" instance_spec
+let test_macros_linear () = Linear.check "macros" macro_spec Parser.parse_string
+let test_instances_linear () = Linear.check "module instances" instance_spec Parser.parse_string
 
 (* --- frozen behaviour on damaged input ------------------------------------ *)
 
